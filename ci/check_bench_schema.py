@@ -28,39 +28,31 @@ MEASUREMENT_KEYS = {
 # rep's QueryProfile (rexa-obs).
 PROFILE_KEYS = {
     "probe_busy_secs": float,
-    "sort_busy_secs": float,
     "merge_busy_secs": float,
     "finalize_busy_secs": float,
     "ht_resets": int,
     "partitions": int,
     "partitions_external": int,
-    "sorted_runs": int,
-    "merge_fanin": int,
     "spill_bytes_written": int,
     "spill_bytes_read": int,
     "evictions": int,
     "readahead_hits": int,
     "readahead_misses": int,
     "io_overlap_secs": float,
-    # Phase-1 strategy the run settled on: "thread_local", "shared",
-    # "instream", or an "adaptive:"-prefixed form recording the runtime
-    # decision.
+    # Phase-1 path the run took: "thread_local" or "instream".
     "strategy": str,
-    # Per-partition phase-2 routing (one entry per merged partition).
+    # The partitions phase 2 merged (one entry per non-empty partition).
     "partition_strategies": list,
     # Per-worker phase-1 attribution (one entry per worker thread).
     "workers": list,
 }
 
-# One entry of profile.partition_strategies: what the per-partition phase-2
-# chooser decided and the sorted-run shape it saw.
+# One entry of profile.partition_strategies: a partition phase 2 merged.
 PARTITION_STRATEGY_KEYS = {
     "partition": int,
     "strategy": str,
-    "sorted_runs": int,
-    "merge_fanin": int,
 }
-PARTITION_STRATEGIES = {"hash", "sorted_merge"}
+PARTITION_STRATEGIES = {"hash"}
 
 # One entry of profile.workers: where phase-1 time and work actually went.
 WORKER_KEYS = {
@@ -74,9 +66,8 @@ WORKER_KEYS = {
 # Each workload carries two measurement modes and a scale-free ratio
 # between them: the kernel-comparison workloads compare scalar vs
 # vectorized, "sorted"/"clustered" compare a forced hash phase 1 against
-# the in-stream fast path (forced / detected), "external" compares sync vs
-# async I/O scheduling, and "external_sorted" compares the forced hash
-# phase 2 against the sorted-run merge.
+# the in-stream fast path (forced / detected), and "external" compares sync
+# vs async I/O scheduling.
 EXPECTED_WORKLOADS = {
     "thin_int": (("scalar", "vectorized"), "phase1_speedup"),
     "wide_multi_key": (("scalar", "vectorized"), "phase1_speedup"),
@@ -84,14 +75,11 @@ EXPECTED_WORKLOADS = {
     "sorted": (("hash", "instream"), "instream_speedup"),
     "clustered": (("hash", "detect"), "detect_speedup"),
     "external": (("sync", "async"), "io_speedup"),
-    "external_sorted": (("hash", "sorted_merge"), "merge_speedup"),
 }
 
 # The threads_sweep section (optional: present when the baseline was
-# produced with --threads-sweep) carries these workloads, in order; thin_int
-# points measure the adaptive default, low_card points compare adaptive
-# against forced thread-local.
-SWEEP_MODES = {"thin_int": ("vectorized",), "low_card": ("adaptive", "thread_local")}
+# produced with --threads-sweep) carries these workloads, in order.
+SWEEP_MODES = {"thin_int": ("vectorized",)}
 
 
 def fail(msg):
@@ -137,8 +125,6 @@ def check_measurement(m, where):
         check_keys(p, PARTITION_STRATEGY_KEYS, pw)
         if p["strategy"] not in PARTITION_STRATEGIES:
             fail(f"{pw}.strategy: unknown strategy {p['strategy']!r}")
-        if p["strategy"] == "sorted_merge" and p["merge_fanin"] == 0:
-            fail(f"{pw}: sorted_merge with zero merge_fanin")
 
 
 def check_threads_sweep(sweep):
@@ -167,12 +153,6 @@ def check_threads_sweep(sweep):
                 if mode not in p:
                     fail(f"{where}: missing {mode!r} measurement")
                 check_measurement(p[mode], f"{where}.{mode}")
-            if name == "low_card":
-                speedup = p.get("adaptive_speedup")
-                if not isinstance(speedup, (int, float)) or speedup < 0:
-                    fail(f"{where}.adaptive_speedup: expected non-negative number")
-                if p["adaptive"]["groups"] != p["thread_local"]["groups"]:
-                    fail(f"{where}: strategies disagree on group count")
 
 
 def main():

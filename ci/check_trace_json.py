@@ -10,13 +10,9 @@ the visual the tracing subsystem exists to show (background spill writes
 and read-ahead running under the probe/merge).
 
 Usage: check_trace_json.py <path-to-trace.json> [--no-overlap]
-                           [--require-span NAME]...
 
 `--no-overlap` skips the I/O-overlap requirement for runs that are not
-expected to spill. `--require-span NAME` (repeatable) fails unless at
-least one duration or async span with that exact name is present — CI uses
-it to pin the hybrid hash/sort path's `run_sort` and `sorted_merge` spans
-into the traced run.
+expected to spill.
 """
 
 import json
@@ -68,25 +64,16 @@ def check_event(e, where):
 def main():
     args = sys.argv[1:]
     require_overlap = True
-    required_spans = []
     paths = []
     i = 0
     while i < len(args):
         if args[i] == "--no-overlap":
             require_overlap = False
-        elif args[i] == "--require-span":
-            i += 1
-            if i >= len(args):
-                fail("--require-span needs a span name")
-            required_spans.append(args[i])
         else:
             paths.append(args[i])
         i += 1
     if len(paths) != 1:
-        fail(
-            "usage: check_trace_json.py <path-to-trace.json> [--no-overlap] "
-            "[--require-span NAME]..."
-        )
+        fail("usage: check_trace_json.py <path-to-trace.json> [--no-overlap]")
     with open(paths[0]) as f:
         doc = json.load(f)
 
@@ -166,13 +153,6 @@ def main():
             fail("no async io spans (expected a spilling run; use --no-overlap otherwise)")
         if overlap == 0:
             fail("no async io span overlaps a compute span on another track")
-
-    # Required spans: the caller pins specific code paths (e.g. the hybrid
-    # hash/sort path's run_sort / sorted_merge) into the traced run.
-    span_names = {e["name"] for e in events if e["ph"] in ("X", "b")}
-    for name in required_spans:
-        if name not in span_names:
-            fail(f"required span {name!r} not present in the trace")
 
     n_spans = sum(1 for e in events if e["ph"] != "M")
     print(

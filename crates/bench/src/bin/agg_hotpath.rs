@@ -21,18 +21,14 @@
 //!
 //! `--threads-sweep T1,T2,…` additionally measures thread scaling: the
 //! `thin_int` workload at every listed thread count (phase-1 scaling of the
-//! morsel-driven probe), plus a 512-group `low_card` workload comparing the
-//! adaptive phase-1 strategy against forced thread-local — the regime where
-//! a shared table wins ("Global Hash Tables Strike Back!", PAPERS.md). The
-//! per-thread measurements, including per-worker attribution (busy secs,
-//! morsels claimed, ht_resets), land under a `threads_sweep` key in the
-//! JSON.
+//! morsel-driven probe). The per-thread measurements, including per-worker
+//! attribution (busy secs, morsels claimed, ht_resets), land under a
+//! `threads_sweep` key in the JSON.
 //!
-//! `--trace-out PATH` runs the external_sorted workload once more with
-//! span tracing attached (separate from the measurements, so tracing cost
-//! never touches the numbers) and writes the timeline as Chrome
-//! trace-event JSON for Perfetto — including the `run_sort` and
-//! `sorted_merge` spans of the hybrid hash/sort path.
+//! `--trace-out PATH` runs the external workload once more with span
+//! tracing attached (separate from the measurements, so tracing cost never
+//! touches the numbers) and writes the timeline as Chrome trace-event JSON
+//! for Perfetto.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -41,7 +37,7 @@ use rexa_buffer::{BufferManager, BufferManagerConfig, EvictionPolicy};
 use rexa_core::simple::sorted_rows;
 use rexa_core::{
     hash_aggregate_collect, hash_aggregate_streaming, AggregateConfig, AggregateSpec,
-    HashAggregatePlan, KernelMode, Phase1Strategy, Phase2Strategy, RunStats, SortedInput,
+    HashAggregatePlan, KernelMode, RunStats, SortedInput,
 };
 use rexa_exec::pipeline::CollectionSource;
 use rexa_exec::pool::ExecContext;
@@ -60,7 +56,7 @@ struct Args {
     threads_sweep: Option<Vec<usize>>,
     out: String,
     sql: bool,
-    /// `--trace-out PATH`: after the measurements, run the external_sorted
+    /// `--trace-out PATH`: after the measurements, run the external
     /// workload once more with span tracing attached and write the
     /// timeline as Chrome trace-event JSON (Perfetto-loadable). The traced
     /// run is separate from the measurements so tracing cost never touches
@@ -242,36 +238,6 @@ fn external(rows: usize) -> Workload {
     }
 }
 
-/// Thin i64 key drawn from only 512 groups: the low-cardinality regime
-/// where thread-local tables mostly deduplicate the same few groups per
-/// worker and a single shared table wins ("Global Hash Tables Strike
-/// Back!", PAPERS.md) — the adaptive phase-1 strategy's win case, measured
-/// by the threads sweep against forced thread-local.
-fn low_card(rows: usize) -> Workload {
-    let mut rng = StdRng::seed_from_u64(0xA664);
-    let mut coll = ChunkCollection::new(vec![LogicalType::Int64, LogicalType::Int64]);
-    let mut remaining = rows;
-    while remaining > 0 {
-        let n = remaining.min(VECTOR_SIZE);
-        remaining -= n;
-        let keys: Vec<i64> = (0..n).map(|_| rng.gen_range(0..512)).collect();
-        let vals: Vec<i64> = keys.iter().map(|k| k.wrapping_mul(7)).collect();
-        coll.push(DataChunk::new(vec![
-            Vector::from_i64(keys),
-            Vector::from_i64(vals),
-        ]))
-        .unwrap();
-    }
-    Workload {
-        coll: Arc::new(coll),
-        name: "low_card",
-        plan: HashAggregatePlan {
-            group_cols: vec![0],
-            aggregates: vec![AggregateSpec::count_star(), AggregateSpec::sum(1)],
-        },
-    }
-}
-
 /// Fully sorted i64 key (ascending, ~64 rows per group, runs continuing
 /// across chunk boundaries): the in-stream fast path's home turf, measured
 /// as forced hash phase 1 vs forced in-stream.
@@ -333,43 +299,6 @@ fn clustered(rows: usize) -> Workload {
         plan: HashAggregatePlan {
             group_cols: vec![0],
             aggregates: vec![AggregateSpec::count_star(), AggregateSpec::sum(1)],
-        },
-    }
-}
-
-/// Sorted i64 key with only ~4 rows per group and a heapless row layout:
-/// the group state is a large fraction of the input, so a sub-intermediate
-/// memory limit forces partitions to spill — the regime where phase 2
-/// merging K sealed sorted runs (streaming, no probe table) competes with
-/// rebuilding a hash table over the reloaded rows. Measured with the
-/// in-stream phase 1 on both sides, forced `Hash` vs forced `SortedMerge`.
-fn external_sorted(rows: usize) -> Workload {
-    let mut coll = ChunkCollection::new(vec![LogicalType::Int64, LogicalType::Int64]);
-    let mut i = 0i64;
-    let mut remaining = rows;
-    while remaining > 0 {
-        let n = remaining.min(VECTOR_SIZE);
-        remaining -= n;
-        let keys: Vec<i64> = (i..i + n as i64).map(|r| r / 4).collect();
-        let vals: Vec<i64> = keys.iter().map(|k| k.wrapping_mul(3)).collect();
-        i += n as i64;
-        coll.push(DataChunk::new(vec![
-            Vector::from_i64(keys),
-            Vector::from_i64(vals),
-        ]))
-        .unwrap();
-    }
-    Workload {
-        coll: Arc::new(coll),
-        name: "external_sorted",
-        plan: HashAggregatePlan {
-            group_cols: vec![0],
-            aggregates: vec![
-                AggregateSpec::count_star(),
-                AggregateSpec::sum(1),
-                AggregateSpec::min(1),
-                AggregateSpec::max(1),
-            ],
         },
     }
 }
@@ -440,10 +369,6 @@ fn sql_parity_check(w: &Workload) {
         "clustered" => (
             &["k", "v"],
             "SELECT k, COUNT(*), SUM(v) FROM clustered GROUP BY k",
-        ),
-        "external_sorted" => (
-            &["k", "v"],
-            "SELECT k, COUNT(*), SUM(v), MIN(v), MAX(v) FROM external_sorted GROUP BY k",
         ),
         other => panic!("no SQL mapping for workload {other}"),
     };
@@ -544,9 +469,6 @@ struct PoolSetup {
     /// Phase-1 routing: hash (`Unsorted`), in-stream (`Sorted`), or let the
     /// run-length sampler decide (`Detect`, the default).
     sorted_input: SortedInput,
-    /// Phase-2 routing: per-partition chooser (`Adaptive`, the default) or
-    /// forced hash / sorted-run merge for A/B measurements.
-    phase2_strategy: Phase2Strategy,
 }
 
 impl PoolSetup {
@@ -559,7 +481,6 @@ impl PoolSetup {
             radix_bits: None,
             direct_io: false,
             sorted_input: SortedInput::Detect,
-            phase2_strategy: Phase2Strategy::Adaptive,
         }
     }
 }
@@ -568,7 +489,6 @@ fn measure(
     w: &Workload,
     mode: KernelMode,
     threads: usize,
-    strategy: Phase1Strategy,
     reps: usize,
     setup: &PoolSetup,
 ) -> Measurement {
@@ -586,9 +506,7 @@ fn measure(
         kernel_mode: mode,
         readahead_depth: setup.readahead_depth,
         radix_bits: setup.radix_bits,
-        phase1_strategy: strategy,
         sorted_input: setup.sorted_input,
-        phase2_strategy: setup.phase2_strategy,
         ..Default::default()
     };
     let mut p1 = Vec::with_capacity(reps);
@@ -620,19 +538,17 @@ fn measure(
     }
 }
 
-/// `--trace-out`: one extra traced run of the external_sorted workload
-/// (in-stream phase 1, sorted-run spilling, forced `SortedMerge` phase 2)
-/// with the background I/O scheduler on, so the exported timeline shows
-/// spill writes and read-ahead overlapping compute plus the new `run_sort`
-/// and `sorted_merge` spans. The run needs real spill traffic to be worth
-/// looking at, so it uses its own input floor (2M rows — the group state
-/// then exceeds the 16 MiB limit floor) rather than the smoke row count;
-/// small pages keep the probe's pinned write heads (threads x 64
+/// `--trace-out`: one extra traced run of the external workload with the
+/// background I/O scheduler on, so the exported timeline shows spill writes
+/// and read-ahead overlapping compute. The run needs real spill traffic to
+/// be worth looking at, so it uses its own input floor (500k rows — the
+/// group state then exceeds the 16 MiB limit floor) rather than the smoke
+/// row count; small pages keep the probe's pinned write heads (threads x 64
 /// partitions x 2 pages) well under the limit.
 fn trace_external_run(ext: &Workload, threads: usize, path: &str) {
     let owned;
-    let ext = if ext.coll.rows() < 2_000_000 {
-        owned = external_sorted(2_000_000);
+    let ext = if ext.coll.rows() < 500_000 {
+        owned = external(500_000);
         &owned
     } else {
         ext
@@ -654,8 +570,6 @@ fn trace_external_run(ext: &Workload, threads: usize, path: &str) {
         // Small phase-1 tables: their live rows are pinned, and the traced
         // run's limit is tight by construction.
         ht_capacity: 1 << 14,
-        sorted_input: SortedInput::Sorted,
-        phase2_strategy: Phase2Strategy::SortedMerge,
         ..Default::default()
     };
     let spans = rexa_obs::SpanCollector::new();
@@ -694,15 +608,14 @@ fn json_measurement(m: &Measurement) -> String {
     let p = &m.profile;
     let phase = |ph: rexa_obs::Phase| &p.phases[ph.index()];
     let io_overlap: f64 = p.phases.iter().map(|ph| ph.overlap.as_secs_f64()).sum();
-    // Per-partition phase-2 routing: what the chooser actually did.
+    // The partitions phase 2 merged.
     let partition_strategies = p
         .partition_merges
         .iter()
         .map(|pm| {
             format!(
-                "{{\"partition\": {}, \"strategy\": \"{}\", \"sorted_runs\": {}, \
-                 \"merge_fanin\": {}}}",
-                pm.partition, pm.strategy, pm.sorted_runs, pm.merge_fanin,
+                "{{\"partition\": {}, \"strategy\": \"{}\"}}",
+                pm.partition, pm.strategy,
             )
         })
         .collect::<Vec<_>>()
@@ -728,11 +641,9 @@ fn json_measurement(m: &Measurement) -> String {
         "{{\"phase1_secs\": {:.6}, \"phase2_secs\": {:.6}, \"total_secs\": {:.6}, \
          \"phase1_rows_per_sec\": {:.1}, \"phase2_rows_per_sec\": {:.1}, \
          \"rows_per_sec\": {:.1}, \"groups\": {}, \
-         \"profile\": {{\"probe_busy_secs\": {:.6}, \"sort_busy_secs\": {:.6}, \
-         \"merge_busy_secs\": {:.6}, \
+         \"profile\": {{\"probe_busy_secs\": {:.6}, \"merge_busy_secs\": {:.6}, \
          \"finalize_busy_secs\": {:.6}, \"ht_resets\": {}, \"partitions\": {}, \
-         \"partitions_external\": {}, \"sorted_runs\": {}, \"merge_fanin\": {}, \
-         \"spill_bytes_written\": {}, \
+         \"partitions_external\": {}, \"spill_bytes_written\": {}, \
          \"spill_bytes_read\": {}, \"evictions\": {}, \"readahead_hits\": {}, \
          \"readahead_misses\": {}, \"io_overlap_secs\": {:.6}, \
          \"strategy\": \"{}\", \"partition_strategies\": [{}], \
@@ -745,14 +656,11 @@ fn json_measurement(m: &Measurement) -> String {
         rate(m.rows_in, m.total_secs),
         m.groups,
         phase(rexa_obs::Phase::Probe).busy.as_secs_f64(),
-        phase(rexa_obs::Phase::Sort).busy.as_secs_f64(),
         phase(rexa_obs::Phase::Merge).busy.as_secs_f64(),
         phase(rexa_obs::Phase::Finalize).busy.as_secs_f64(),
         p.ht_resets,
         p.partitions,
         p.partitions_external,
-        p.sorted_runs,
-        p.merge_fanin,
         p.spill_bytes_written,
         p.spill_bytes_read,
         p.evictions,
@@ -779,10 +687,9 @@ fn main() {
     let srt = sorted(args.rows);
     let clu = clustered(args.rows);
     let ext = external(args.rows);
-    let exts = external_sorted(args.rows);
     if args.sql {
         println!("checking SQL front end against hand-wired plans …");
-        for w in workloads.iter().chain([&srt, &clu, &ext, &exts]) {
+        for w in workloads.iter().chain([&srt, &clu, &ext]) {
             sql_parity_check(w);
         }
     }
@@ -802,7 +709,6 @@ fn main() {
             w,
             KernelMode::Scalar,
             args.threads,
-            Phase1Strategy::Adaptive,
             args.reps,
             &PoolSetup::in_memory(),
         );
@@ -810,7 +716,6 @@ fn main() {
             w,
             KernelMode::Vectorized,
             args.threads,
-            Phase1Strategy::Adaptive,
             args.reps,
             &PoolSetup::in_memory(),
         );
@@ -869,7 +774,6 @@ fn main() {
             w,
             KernelMode::Vectorized,
             args.threads,
-            Phase1Strategy::Adaptive,
             args.reps,
             &hash_setup,
         );
@@ -877,7 +781,6 @@ fn main() {
             w,
             KernelMode::Vectorized,
             args.threads,
-            Phase1Strategy::Adaptive,
             args.reps,
             fast_setup,
         );
@@ -934,7 +837,6 @@ fn main() {
         radix_bits: Some(6),
         direct_io: true,
         sorted_input: SortedInput::Detect,
-        phase2_strategy: Phase2Strategy::Adaptive,
     };
     let async_setup = PoolSetup {
         io_writers: 3,
@@ -945,7 +847,6 @@ fn main() {
         &ext,
         KernelMode::Vectorized,
         args.threads,
-        Phase1Strategy::Adaptive,
         args.reps,
         &sync_setup,
     );
@@ -953,7 +854,6 @@ fn main() {
         &ext,
         KernelMode::Vectorized,
         args.threads,
-        Phase1Strategy::Adaptive,
         args.reps,
         &async_setup,
     );
@@ -989,84 +889,13 @@ fn main() {
         io_speedup,
     ));
 
-    // The hash-vs-sort phase-2 frontier: external_sorted runs the in-stream
-    // phase 1 on both sides (sorted keys, heapless layout, limit below the
-    // intermediate size so partitions spill) and isolates phase 2 — forced
-    // `Hash` rebuilds a probe table over the reloaded rows and pays no
-    // run-sort in phase 1; forced `SortedMerge` sorts spilled run tails
-    // before pin release and streams a k-way merge with no table at all.
-    let exts_limit = (exts.coll.approx_bytes() / 2).max(16 << 20);
-    let exts_hash_setup = PoolSetup {
-        mem_limit: exts_limit,
-        page_size: 64 << 10,
-        io_writers: 2,
-        readahead_depth: 2,
-        radix_bits: Some(6),
-        direct_io: true,
-        sorted_input: SortedInput::Sorted,
-        phase2_strategy: Phase2Strategy::Hash,
-    };
-    let exts_merge_setup = PoolSetup {
-        phase2_strategy: Phase2Strategy::SortedMerge,
-        ..exts_hash_setup
-    };
-    let exts_hash_m = measure(
-        &exts,
-        KernelMode::Vectorized,
-        args.threads,
-        Phase1Strategy::Adaptive,
-        args.reps,
-        &exts_hash_setup,
-    );
-    let exts_merge_m = measure(
-        &exts,
-        KernelMode::Vectorized,
-        args.threads,
-        Phase1Strategy::Adaptive,
-        args.reps,
-        &exts_merge_setup,
-    );
-    assert_eq!(
-        exts_hash_m.groups, exts_merge_m.groups,
-        "external_sorted: hash and sorted_merge disagree on group count"
-    );
-    let merge_speedup = if exts_merge_m.total_secs > 0.0 {
-        exts_hash_m.total_secs / exts_merge_m.total_secs
-    } else {
-        0.0
-    };
-    for (mode, m) in [("hash", &exts_hash_m), ("sorted_merge", &exts_merge_m)] {
-        table.push(vec![
-            exts.name.to_string(),
-            mode.to_string(),
-            format!("{:.1}", rate(m.rows_in, m.phase1_secs) / 1e6),
-            format!("{:.1}", rate(m.rows_in, m.phase2_secs) / 1e6),
-            if mode == "hash" {
-                "1.00x".to_string()
-            } else {
-                format!("{merge_speedup:.2}x")
-            },
-        ]);
-    }
-    entries.push(format!(
-        "    {{\"workload\": \"external_sorted\", \"rows\": {}, \"groups\": {}, \
-         \"hash\": {}, \"sorted_merge\": {}, \"merge_speedup\": {:.3}}}",
-        exts_hash_m.rows_in,
-        exts_hash_m.groups,
-        json_measurement(&exts_hash_m),
-        json_measurement(&exts_merge_m),
-        merge_speedup,
-    ));
-
     print_table(&header, &table);
 
     // `--threads-sweep`: thread scaling of the morsel-driven probe
-    // (thin_int, adaptive) plus the adaptive-vs-thread-local comparison on
-    // the 512-group low_card workload, at every requested thread count.
+    // (thin_int) at every requested thread count.
     let mut sweep_json = String::new();
     if let Some(counts) = &args.threads_sweep {
         println!("\nthreads sweep: {counts:?}");
-        let low = low_card(args.rows);
         let sweep_header: Vec<String> = [
             "workload",
             "threads",
@@ -1078,9 +907,7 @@ fn main() {
         .to_vec();
         let mut sweep_table = Vec::new();
         let mut thin_points = Vec::new();
-        let mut low_points = Vec::new();
         let mut thin_info = (0usize, 0usize); // (rows, groups)
-        let mut low_info = (0usize, 0usize);
         let thin = &workloads[0];
         assert_eq!(thin.name, "thin_int");
         for &t in counts {
@@ -1088,7 +915,6 @@ fn main() {
                 thin,
                 KernelMode::Vectorized,
                 t,
-                Phase1Strategy::Adaptive,
                 args.reps,
                 &PoolSetup::in_memory(),
             );
@@ -1105,50 +931,6 @@ fn main() {
                 t,
                 json_measurement(&m)
             ));
-
-            let adaptive = measure(
-                &low,
-                KernelMode::Vectorized,
-                t,
-                Phase1Strategy::Adaptive,
-                args.reps,
-                &PoolSetup::in_memory(),
-            );
-            let thread_local = measure(
-                &low,
-                KernelMode::Vectorized,
-                t,
-                Phase1Strategy::ThreadLocal,
-                args.reps,
-                &PoolSetup::in_memory(),
-            );
-            assert_eq!(
-                adaptive.groups, thread_local.groups,
-                "low_card: strategies disagree on group count"
-            );
-            let speedup = if adaptive.total_secs > 0.0 {
-                thread_local.total_secs / adaptive.total_secs
-            } else {
-                0.0
-            };
-            for (m, label) in [(&adaptive, "adaptive"), (&thread_local, "thread_local")] {
-                sweep_table.push(vec![
-                    low.name.to_string(),
-                    t.to_string(),
-                    format!("{label}:{}", m.profile.strategy),
-                    format!("{:.1}", rate(m.rows_in, m.phase1_secs) / 1e6),
-                    format!("{:.3}", m.total_secs),
-                ]);
-            }
-            low_info = (adaptive.rows_in, adaptive.groups);
-            low_points.push(format!(
-                "        {{\"threads\": {}, \"adaptive\": {}, \"thread_local\": {}, \
-                 \"adaptive_speedup\": {:.3}}}",
-                t,
-                json_measurement(&adaptive),
-                json_measurement(&thread_local),
-                speedup,
-            ));
         }
         print_table(&sweep_header, &sweep_table);
         let counts_json = counts
@@ -1158,15 +940,11 @@ fn main() {
             .join(", ");
         sweep_json = format!(
             ",\n  \"threads_sweep\": {{\n    \"threads\": [{}],\n    \"workloads\": [\n      \
-             {{\"workload\": \"thin_int\", \"rows\": {}, \"groups\": {}, \"points\": [\n{}\n      ]}},\n      \
-             {{\"workload\": \"low_card\", \"rows\": {}, \"groups\": {}, \"points\": [\n{}\n      ]}}\n    ]\n  }}",
+             {{\"workload\": \"thin_int\", \"rows\": {}, \"groups\": {}, \"points\": [\n{}\n      ]}}\n    ]\n  }}",
             counts_json,
             thin_info.0,
             thin_info.1,
             thin_points.join(",\n"),
-            low_info.0,
-            low_info.1,
-            low_points.join(",\n"),
         );
     }
 
@@ -1183,6 +961,6 @@ fn main() {
     println!("wrote {}", args.out);
 
     if let Some(path) = &args.trace_out {
-        trace_external_run(&exts, args.threads.max(2), path);
+        trace_external_run(&ext, args.threads.max(2), path);
     }
 }

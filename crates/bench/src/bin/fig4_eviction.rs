@@ -27,6 +27,15 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+/// Sets the flag when dropped — on unwind too.
+struct StopOnDrop<'a>(&'a AtomicBool);
+
+impl Drop for StopOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::Relaxed);
+    }
+}
+
 fn main() {
     let mut args = HarnessArgs::parse();
     if args.reps == 1 {
@@ -109,6 +118,9 @@ fn main() {
             let max_temp = Mutex::new(0u64);
             let start = Instant::now();
             let total = std::thread::scope(|s| {
+                // A failed submit or query panics below; the guard still
+                // stops the sampler, so the scope's join cannot hang.
+                let _stop_sampler = StopOnDrop(&stop);
                 let sampler = s.spawn(|| {
                     while !stop.load(Ordering::Relaxed) {
                         let st = mgr.stats();

@@ -22,7 +22,6 @@
 use rexa_buffer::BufferManager;
 use rexa_exec::hashing::POINTER_BITS;
 use rexa_exec::{ExecContext, Result};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 
 /// Mask of the pointer bits of an entry.
 pub const PTR_MASK: u64 = (1 << POINTER_BITS) - 1;
@@ -202,131 +201,6 @@ impl SaltedHashTable {
     }
 }
 
-/// A fixed-capacity concurrent group *index* for the shared phase-1
-/// strategy ("Global Hash Tables Strike Back!"): at low group counts one
-/// table shared by all workers beats per-thread tables + radix partitions,
-/// because the hot table stays L1/L2-resident and nothing is scattered.
-///
-/// The index maps a hash to a group **ordinal** (0-based, dense), not to an
-/// aggregate row: each worker keeps its own ordinal → local-row mapping and
-/// updates aggregate state thread-locally, so no atomic read-modify-write of
-/// aggregate values is ever needed. Entries are `salt | (ordinal + 1)` (an
-/// all-zero entry means empty); `row_ptrs[ordinal]` points at the canonical
-/// key row, published *before* the entry so a lock-free probe that wins the
-/// salt filter can always run the full key compare.
-///
-/// Concurrency contract: probes are lock-free (`entry` / `row_ptr`);
-/// **insertions must be externally serialized** (the operator holds an
-/// insert mutex that also guards the canonical key-row collection) and go
-/// re-probe → [`alloc_ordinal`](Self::alloc_ordinal) →
-/// [`publish`](Self::publish). Load factor is capped at 50% by construction
-/// so probe chains always terminate.
-pub struct SharedGroupIndex {
-    entries: Box<[AtomicU64]>,
-    mask: u64,
-    /// Ordinal → canonical key-row pointer, stored as u64.
-    row_ptrs: Box<[AtomicU64]>,
-    count: AtomicUsize,
-    overflowed: AtomicBool,
-    /// Accounts entries + row_ptrs against the memory limit.
-    _memory: Box<dyn std::any::Any + Send + Sync>,
-}
-
-impl SharedGroupIndex {
-    /// Allocate an index for at most `max_groups` groups, accounted like a
-    /// non-paged allocation (drawn from the context's grant when possible).
-    pub fn with_capacity_ctx(
-        mgr: &BufferManager,
-        max_groups: usize,
-        ctx: &ExecContext,
-    ) -> Result<Self> {
-        let max_groups = max_groups.max(64);
-        let capacity = (max_groups * 2).next_power_of_two();
-        let bytes = capacity * 8 + max_groups * 8;
-        let memory: Box<dyn std::any::Any + Send + Sync> = match ctx.carve(bytes) {
-            Some(token) => token,
-            None => Box::new(mgr.reserve(bytes)?),
-        };
-        Ok(SharedGroupIndex {
-            entries: (0..capacity).map(|_| AtomicU64::new(0)).collect(),
-            mask: capacity as u64 - 1,
-            row_ptrs: (0..max_groups).map(|_| AtomicU64::new(0)).collect(),
-            count: AtomicUsize::new(0),
-            overflowed: AtomicBool::new(false),
-            _memory: memory,
-        })
-    }
-
-    /// Most groups the index can hold before overflowing.
-    pub fn max_groups(&self) -> usize {
-        self.row_ptrs.len()
-    }
-
-    /// Groups inserted so far.
-    pub fn count(&self) -> usize {
-        self.count.load(Ordering::Relaxed)
-    }
-
-    /// True once an insert was refused for lack of room. Overflowing is a
-    /// misprediction, not an error: the operator appends overflow rows
-    /// unaggregated and phase 2 merges them by key.
-    pub fn overflowed(&self) -> bool {
-        self.overflowed.load(Ordering::Relaxed)
-    }
-
-    /// First slot to probe for `hash`.
-    #[inline]
-    pub fn slot(&self, hash: u64) -> usize {
-        (hash & self.mask) as usize
-    }
-
-    /// Next slot in the linear probe sequence.
-    #[inline]
-    pub fn next_slot(&self, slot: usize) -> usize {
-        (slot + 1) & self.mask as usize
-    }
-
-    /// Read the entry at `slot` (0 = empty). Acquire pairs with
-    /// [`publish`](Self::publish)'s Release, so a non-empty entry implies
-    /// the ordinal's key row is fully visible.
-    #[inline]
-    pub fn entry(&self, slot: usize) -> u64 {
-        self.entries[slot].load(Ordering::Acquire)
-    }
-
-    /// The group ordinal of a non-empty entry.
-    #[inline]
-    pub fn entry_ordinal(e: u64) -> usize {
-        (e & PTR_MASK) as usize - 1
-    }
-
-    /// The canonical key-row pointer of an inserted ordinal.
-    #[inline]
-    pub fn row_ptr(&self, ord: usize) -> *const u8 {
-        self.row_ptrs[ord].load(Ordering::Relaxed) as *const u8
-    }
-
-    /// Serialized (insert-lock holder only): claim the next ordinal, or
-    /// `None` — flagging overflow — when the index is full.
-    pub fn alloc_ordinal(&self) -> Option<usize> {
-        let n = self.count.load(Ordering::Relaxed);
-        if n >= self.row_ptrs.len() {
-            self.overflowed.store(true, Ordering::Relaxed);
-            return None;
-        }
-        Some(n)
-    }
-
-    /// Serialized (insert-lock holder only): publish `ord`'s canonical key
-    /// row and make the entry at `slot` visible to lock-free probes.
-    pub fn publish(&self, slot: usize, hash: u64, ord: usize, row: *const u8) {
-        debug_assert_eq!(self.entries[slot].load(Ordering::Relaxed), 0);
-        self.row_ptrs[ord].store(row as u64, Ordering::Release);
-        self.count.store(ord + 1, Ordering::Relaxed);
-        self.entries[slot].store(salt_bits(hash) | (ord as u64 + 1), Ordering::Release);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -393,99 +267,6 @@ mod tests {
         let t = SaltedHashTable::with_capacity(&m, 64).unwrap();
         let last = t.capacity() - 1;
         assert_eq!(t.next_slot(last), 0);
-    }
-
-    #[test]
-    fn shared_index_round_trip_and_overflow() {
-        let m = mgr();
-        let idx = SharedGroupIndex::with_capacity_ctx(&m, 64, &ExecContext::new()).unwrap();
-        assert_eq!(idx.max_groups(), 64);
-        let row = 0x0000_7abc_def0_1234u64 as *const u8;
-        let hash = mix64(5);
-        let slot = idx.slot(hash);
-        assert_eq!(idx.entry(slot), 0);
-        let ord = idx.alloc_ordinal().unwrap();
-        assert_eq!(ord, 0);
-        idx.publish(slot, hash, ord, row);
-        let e = idx.entry(slot);
-        assert_ne!(e, 0);
-        assert_eq!(salt_bits(e), salt_bits(hash));
-        assert_eq!(SharedGroupIndex::entry_ordinal(e), 0);
-        assert_eq!(idx.row_ptr(0), row);
-        assert_eq!(idx.count(), 1);
-        // Fill to capacity: the 65th alloc refuses and flags overflow.
-        for i in 1..64 {
-            let h = mix64(1000 + i as u64);
-            let mut s = idx.slot(h);
-            while idx.entry(s) != 0 {
-                s = idx.next_slot(s);
-            }
-            let o = idx.alloc_ordinal().unwrap();
-            assert_eq!(o, i);
-            idx.publish(s, h, o, row);
-        }
-        assert!(!idx.overflowed());
-        assert!(idx.alloc_ordinal().is_none());
-        assert!(idx.overflowed());
-    }
-
-    #[test]
-    fn shared_index_accounts_against_limit() {
-        let m = mgr();
-        let before = m.memory_used();
-        let idx = SharedGroupIndex::with_capacity_ctx(&m, 512, &ExecContext::new()).unwrap();
-        // 1024 entries + 512 row pointers, 8 bytes each.
-        assert_eq!(m.memory_used() - before, 1024 * 8 + 512 * 8);
-        drop(idx);
-        assert_eq!(m.memory_used(), before);
-    }
-
-    #[test]
-    fn shared_index_concurrent_probes_see_published_rows() {
-        // One serialized inserter, many lock-free probers: every non-empty
-        // entry a prober observes must resolve to a non-null row pointer.
-        let m = mgr();
-        let idx = std::sync::Arc::new(
-            SharedGroupIndex::with_capacity_ctx(&m, 1024, &ExecContext::new()).unwrap(),
-        );
-        let stop = AtomicBool::new(false);
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                let idx = std::sync::Arc::clone(&idx);
-                let stop = &stop;
-                s.spawn(move || {
-                    while !stop.load(Ordering::Relaxed) {
-                        for k in 0..1024u64 {
-                            let h = mix64(k);
-                            let mut slot = idx.slot(h);
-                            for _ in 0..16 {
-                                let e = idx.entry(slot);
-                                if e == 0 {
-                                    break;
-                                }
-                                if salt_bits(e) == salt_bits(h) {
-                                    let ord = SharedGroupIndex::entry_ordinal(e);
-                                    assert!(!idx.row_ptr(ord).is_null());
-                                    break;
-                                }
-                                slot = idx.next_slot(slot);
-                            }
-                        }
-                    }
-                });
-            }
-            for k in 0..1024u64 {
-                let h = mix64(k);
-                let mut slot = idx.slot(h);
-                while idx.entry(slot) != 0 {
-                    slot = idx.next_slot(slot);
-                }
-                let ord = idx.alloc_ordinal().unwrap();
-                idx.publish(slot, h, ord, (0x1000 + k * 8) as *const u8);
-            }
-            stop.store(true, Ordering::Relaxed);
-        });
-        assert_eq!(idx.count(), 1024);
     }
 
     #[test]

@@ -1,5 +1,4 @@
-//! In-stream aggregation: the sorted-input fast path of the adaptive hybrid
-//! hash/sort operator.
+//! In-stream aggregation: the sorted-input fast path of phase 1.
 //!
 //! When the grouping keys arrive sorted (or clustered), a hash table is pure
 //! overhead: consecutive rows overwhelmingly belong to the same group. The

@@ -68,10 +68,8 @@ impl Default for JoinConfig {
 
 impl JoinConfig {
     fn effective_radix_bits(&self) -> u32 {
-        self.radix_bits.unwrap_or_else(|| {
-            let parts = (self.threads * 4).next_power_of_two();
-            parts.trailing_zeros().clamp(3, 8)
-        })
+        self.radix_bits
+            .unwrap_or_else(|| crate::default_radix_bits(self.threads))
     }
 }
 

@@ -39,7 +39,16 @@ pub use join::{hash_join_collect, hash_join_streaming, HashJoinPlan, JoinConfig,
 pub use kernel::AggKernels;
 pub use operator::{
     hash_aggregate_collect, hash_aggregate_streaming, hash_aggregate_streaming_ctx, output_schema,
-    plan_row_width, AggregateConfig, HashAggregatePlan, KernelMode, Phase1Strategy, Phase2Strategy,
-    RunStats, SortedInput,
+    plan_row_width, AggregateConfig, HashAggregatePlan, KernelMode, RunStats, SortedInput,
 };
 pub use ungrouped::ungrouped_aggregate;
+
+/// Radix bits when a config leaves them unset: over-partition to at least
+/// four partitions per thread, within 8..=256 partitions. One rule for the
+/// aggregation and the join.
+pub(crate) fn default_radix_bits(threads: usize) -> u32 {
+    (threads * 4)
+        .next_power_of_two()
+        .trailing_zeros()
+        .clamp(3, 8)
+}

@@ -83,14 +83,6 @@ pub struct TupleDataCollection {
     /// Index of the row/heap page currently being appended to, if pinned.
     cur_row: Option<usize>,
     cur_heap: Option<usize>,
-    /// Sorted-run bookkeeping for the hybrid hash/sort spill path: ranges of
-    /// logical rows (chunk order) whose contents are sorted by the leading
-    /// key columns, recorded by [`Self::seal_sorted_run`].
-    sorted_runs: Vec<(usize, usize)>,
-    /// Rows already covered by sealed runs; rows past this form the tail.
-    sorted_prefix: usize,
-    /// Chunks already covered by sealed runs.
-    sorted_chunks: usize,
 }
 
 impl TupleDataCollection {
@@ -110,9 +102,6 @@ impl TupleDataCollection {
             active_heap_pins: Vec::new(),
             cur_row: None,
             cur_heap: None,
-            sorted_runs: Vec::new(),
-            sorted_prefix: 0,
-            sorted_chunks: 0,
         }
     }
 
@@ -452,127 +441,6 @@ impl TupleDataCollection {
         }
     }
 
-    /// The sorted-run ranges recorded so far, as `(start_row, len)` over
-    /// logical row indices (the order [`Self::all_row_ptrs`] walks).
-    pub fn sorted_runs(&self) -> &[(usize, usize)] {
-        &self.sorted_runs
-    }
-
-    /// True when the recorded runs tile the whole collection with no gaps —
-    /// the precondition for phase 2 to merge runs instead of re-hashing.
-    /// Rows appended after the last seal (or before a run-sort was enabled)
-    /// leave a gap, and callers fall back to the hash path.
-    pub fn runs_cover_all_rows(&self) -> bool {
-        let mut next = 0usize;
-        for &(start, len) in &self.sorted_runs {
-            if start != next {
-                return false;
-            }
-            next += len;
-        }
-        next == self.rows
-    }
-
-    /// Sort the unsealed tail (every row appended since the last seal) by
-    /// the first `key_cols` columns and record it as one sorted run, so that
-    /// a spilled partition can be phase-2-merged instead of re-hashed. The
-    /// slot positions and chunk metadata stay fixed; only row contents move.
-    /// Returns true if a (non-empty) run was recorded.
-    ///
-    /// Must be called *before* [`Self::release_pins`]: the tail's pages are
-    /// still append-pinned, which is what makes the in-place permutation
-    /// possible without I/O. Any raw row pointers into the tail (hash-table
-    /// entries, an in-stream aggregator's open group) are invalidated —
-    /// callers seal exactly when they are about to drop those anyway.
-    ///
-    /// # Panics
-    /// If the layout has var-size columns (heap pointers would need fixups;
-    /// the chooser never enables run-sorting for string layouts).
-    pub fn seal_sorted_run(&mut self, key_cols: usize) -> bool {
-        let tail_rows = self.rows - self.sorted_prefix;
-        if tail_rows == 0 {
-            return false;
-        }
-        assert!(
-            self.layout.var_cols().is_empty(),
-            "sorted runs require a heapless layout"
-        );
-        // Gather the tail's row addresses in logical (chunk) order. Every
-        // tail page was written since the last release_pins, so it is still
-        // append-pinned.
-        let rw = self.layout.row_width();
-        let mut slots: Vec<*mut u8> = Vec::with_capacity(tail_rows);
-        for meta in &self.chunks[self.sorted_chunks..] {
-            let base = self.active_row_pin(meta.row_page as usize).base_ptr();
-            for k in 0..meta.count as usize {
-                // SAFETY: within the page by construction.
-                slots.push(unsafe { base.add((meta.row_start as usize + k) * rw) });
-            }
-        }
-        debug_assert_eq!(slots.len(), tail_rows);
-        let layout = Arc::clone(&self.layout);
-        // Already-sorted fast path: when the in-stream aggregator fed this
-        // tail from genuinely sorted input, the append order *is* key order,
-        // and one adjacency scan replaces the sort plus the two-pass
-        // permutation — sealing a run on sorted data costs O(n) prefix
-        // compares (`key_prefix`), with the row comparator consulted only on
-        // prefix ties it cannot settle.
-        // SAFETY (throughout): every slot addresses a live row of this
-        // layout on a page gathered while append-pinned.
-        let exact = crate::matcher::prefix_is_exact(&layout, key_cols);
-        let mut already_sorted = true;
-        let mut prev = unsafe { crate::matcher::key_prefix(&layout, slots[0]) };
-        for i in 1..tail_rows {
-            let cur = unsafe { crate::matcher::key_prefix(&layout, slots[i]) };
-            let ok = match prev.cmp(&cur) {
-                std::cmp::Ordering::Less => true,
-                std::cmp::Ordering::Greater => false,
-                std::cmp::Ordering::Equal => {
-                    exact
-                        || unsafe {
-                            crate::matcher::row_row_cmp(&layout, key_cols, slots[i - 1], slots[i])
-                        }
-                        .is_le()
-                }
-            };
-            if !ok {
-                already_sorted = false;
-                break;
-            }
-            prev = cur;
-        }
-        if !already_sorted {
-            // Stable sort keeps equal keys in append order: the run layout
-            // is a deterministic function of the append sequence.
-            let mut order: Vec<u32> = (0..tail_rows as u32).collect();
-            order.sort_by(|&a, &b| unsafe {
-                crate::matcher::row_row_cmp(&layout, key_cols, slots[a as usize], slots[b as usize])
-            });
-            // Permute row bytes into sorted order through a transient buffer.
-            let mut buf = vec![0u8; tail_rows * rw];
-            for (k, &i) in order.iter().enumerate() {
-                // SAFETY: slots hold full rows; buf has tail_rows * rw bytes.
-                unsafe {
-                    std::ptr::copy_nonoverlapping(
-                        slots[i as usize] as *const u8,
-                        buf.as_mut_ptr().add(k * rw),
-                        rw,
-                    );
-                }
-            }
-            for (k, &slot) in slots.iter().enumerate() {
-                // SAFETY: same bounds as above.
-                unsafe {
-                    std::ptr::copy_nonoverlapping(buf.as_ptr().add(k * rw), slot, rw);
-                }
-            }
-        }
-        self.sorted_runs.push((self.sorted_prefix, tail_rows));
-        self.sorted_prefix = self.rows;
-        self.sorted_chunks = self.chunks.len();
-        true
-    }
-
     /// Unpin everything: from here on the buffer manager may spill any page
     /// of this collection. Row pointers handed out by `append` become
     /// invalid. Called when the aggregation hash table is reset.
@@ -610,17 +478,7 @@ impl TupleDataCollection {
             }
             self.chunks.push(meta);
         }
-        // Carry the other side's sorted runs over, shifted past our rows.
-        // Any unsealed tail (on either side) becomes a coverage gap that
-        // runs_cover_all_rows reports; future seals only cover rows appended
-        // after this merge.
-        let row_base = self.rows;
-        for &(start, len) in &other.sorted_runs {
-            self.sorted_runs.push((row_base + start, len));
-        }
         self.rows += other.rows;
-        self.sorted_prefix = self.rows;
-        self.sorted_chunks = self.chunks.len();
     }
 
     /// Pin every page of the collection and perform any pending pointer
@@ -1078,85 +936,6 @@ mod tests {
                 assert_eq!(*p.add(layout.aggr_offset(0) + off), 0);
             }
         }
-    }
-
-    #[test]
-    fn sealed_runs_are_sorted_and_survive_spill() {
-        let m = mgr(8);
-        let layout = Arc::new(TupleDataLayout::new(vec![LogicalType::Int64], vec![]));
-        let mut coll = TupleDataCollection::new(Arc::clone(&m), Arc::clone(&layout));
-        // Two append epochs of descending keys, each sealed into one run.
-        for epoch in 0..2 {
-            let keys = Vector::from_i64((0..120).map(|i| 1000 * epoch + (120 - i)).collect());
-            let hashes = hashing::hash_columns(&[&keys], 120);
-            let sel: Vec<u32> = (0..120).collect();
-            coll.append(&[&keys], &hashes, &sel, None).unwrap();
-            assert!(coll.seal_sorted_run(1));
-            coll.release_pins();
-        }
-        assert_eq!(coll.sorted_runs(), &[(0, 120), (120, 120)]);
-        assert!(coll.runs_cover_all_rows());
-        coll.verify().unwrap();
-
-        // Spill, reload, and check each run really is sorted.
-        let mut hog = Vec::new();
-        while let Ok(p) = m.allocate_page() {
-            hog.push(p);
-        }
-        drop(hog);
-        let pins = coll.pin_all().unwrap();
-        let ptrs = coll.all_row_ptrs(&pins);
-        for &(start, len) in coll.sorted_runs() {
-            for i in start + 1..start + len {
-                let ord = unsafe { crate::matcher::row_row_cmp(&layout, 1, ptrs[i - 1], ptrs[i]) };
-                assert_ne!(ord, std::cmp::Ordering::Greater, "run out of order at {i}");
-            }
-        }
-        // All original keys are still present.
-        let out = unsafe { coll.gather(&ptrs) };
-        let mut keys: Vec<i64> = out.column(0).i64s().to_vec();
-        keys.sort_unstable();
-        let mut expect: Vec<i64> = (0..2)
-            .flat_map(|e| (0..120).map(move |i| 1000 * e + (120 - i)))
-            .collect();
-        expect.sort_unstable();
-        assert_eq!(keys, expect);
-    }
-
-    #[test]
-    fn unsealed_tail_breaks_run_coverage() {
-        let m = mgr(16);
-        let layout = Arc::new(TupleDataLayout::new(vec![LogicalType::Int64], vec![]));
-        let mut coll = TupleDataCollection::new(m, layout);
-        let keys = Vector::from_i64((0..50).collect());
-        let hashes = hashing::hash_columns(&[&keys], 50);
-        let sel: Vec<u32> = (0..50).collect();
-        coll.append(&[&keys], &hashes, &sel, None).unwrap();
-        assert!(coll.seal_sorted_run(1));
-        assert!(coll.runs_cover_all_rows());
-        // Another epoch without a seal: coverage must report the gap.
-        coll.append(&[&keys], &hashes, &sel, None).unwrap();
-        assert!(!coll.runs_cover_all_rows());
-        coll.release_pins();
-    }
-
-    #[test]
-    fn merge_from_offsets_sorted_runs() {
-        let m = mgr(64);
-        let layout = Arc::new(TupleDataLayout::new(vec![LogicalType::Int64], vec![]));
-        let mut a_coll = TupleDataCollection::new(Arc::clone(&m), Arc::clone(&layout));
-        let mut b_coll = TupleDataCollection::new(Arc::clone(&m), Arc::clone(&layout));
-        for (coll, n) in [(&mut a_coll, 30usize), (&mut b_coll, 20usize)] {
-            let keys = Vector::from_i64((0..n as i64).rev().collect());
-            let hashes = hashing::hash_columns(&[&keys], n);
-            let sel: Vec<u32> = (0..n as u32).collect();
-            coll.append(&[&keys], &hashes, &sel, None).unwrap();
-            assert!(coll.seal_sorted_run(1));
-            coll.release_pins();
-        }
-        a_coll.merge_from(b_coll);
-        assert_eq!(a_coll.sorted_runs(), &[(0, 30), (30, 20)]);
-        assert!(a_coll.runs_cover_all_rows());
     }
 
     #[test]

@@ -11,7 +11,7 @@ use rexa_core::baselines::sort_aggregate;
 use rexa_core::simple::{reference_aggregate, sorted_rows};
 use rexa_core::{
     hash_aggregate_collect, AggregateConfig, AggregateSpec, HashAggregatePlan, KernelMode,
-    Phase1Strategy, Phase2Strategy, SortedInput,
+    SortedInput,
 };
 use rexa_exec::pipeline::{CancelToken, CollectionSource};
 use rexa_exec::{ChunkCollection, DataChunk, LogicalType, Value, VECTOR_SIZE};
@@ -313,7 +313,7 @@ proptest! {
 
 /// Order the case's rows by their group-key columns (`total_cmp`, NULLs
 /// grouped), turning an arbitrary case into a sorted-input case for the
-/// in-stream / sorted-merge differential tests.
+/// in-stream differential tests.
 fn sort_rows_by_group(case: &mut Case) {
     let cols = case.group_cols.clone();
     case.rows.sort_by(|a, b| {
@@ -384,14 +384,14 @@ proptest! {
         }
     }
 
-    /// Sorted input under the forced `SortedMerge` phase 2, across thread
-    /// counts and under the case's (possibly spilling) memory limit: same
-    /// groups as the reference model, float-tolerant (multi-thread combine
-    /// order is scheduling-dependent), and never any residue — including
-    /// when the layout has var-length columns or spill health forces the
-    /// per-partition chooser back onto the hash path.
+    /// Sorted input through the forced in-stream phase 1 and the hash
+    /// phase 2, across thread counts and under the case's (possibly
+    /// spilling) memory limit: same groups as the reference model,
+    /// float-tolerant (multi-thread combine order is scheduling-dependent),
+    /// and never any residue — including when the layout has var-length
+    /// columns.
     #[test]
-    fn sorted_merge_matches_reference_model(case in case_strategy()) {
+    fn sorted_input_instream_matches_reference_model(case in case_strategy()) {
         let mut case = case;
         sort_rows_by_group(&mut case);
         let coll = build_collection(&case);
@@ -406,7 +406,7 @@ proptest! {
             let mgr = BufferManager::new(
                 BufferManagerConfig::with_limit(case.limit_kib << 10)
                     .page_size(4 << 10)
-                    .temp_dir(scratch_dir("sorted-merge").unwrap()),
+                    .temp_dir(scratch_dir("sorted-instream").unwrap()),
             )
             .unwrap();
             let config = AggregateConfig {
@@ -416,13 +416,13 @@ proptest! {
                 output_chunk_size: 777,
                 reset_fill_percent: 66,
                 sorted_input: SortedInput::Sorted,
-                phase2_strategy: Phase2Strategy::SortedMerge,
                 ..Default::default()
             };
             let source = CollectionSource::new(&coll);
             let result = hash_aggregate_collect(&mgr, &source, coll.types(), &plan, &config);
             match result {
                 Ok((out, stats)) => {
+                    prop_assert_eq!(&stats.profile.strategy, "instream");
                     let got = sorted_rows(out.chunks());
                     prop_assert!(
                         rows_approx_eq(&got, &want),
@@ -441,15 +441,13 @@ proptest! {
     }
 }
 
-/// Chaos: a sorted-run spill whose very first write hits an injected
-/// transient fault mid-run-write. The write is retried and succeeds, but
-/// the retry marks spill health dirty, so the per-partition chooser must
-/// degrade every partition to the hash path — the query still succeeds
-/// with correct results and no residue. The degradation must not poison
-/// the manager: a second, fault-free run of the same query on the same
-/// manager goes back to merging sorted runs.
+/// Chaos: an in-stream run whose very first spill write hits an injected
+/// transient fault. The write is retried and succeeds; the query still
+/// succeeds with correct results and no residue, and the fault does not
+/// poison the manager: a second, fault-free run of the same query on the
+/// same manager is just as correct.
 #[test]
-fn sorted_run_spill_fault_degrades_to_hash_without_poisoning() {
+fn instream_spill_write_fault_is_retried_without_poisoning() {
     let injector = Arc::new(FaultInjector::new(0x50F7).rule(FaultRule::on(
         IoOp::Write,
         Schedule::Nth(0),
@@ -477,12 +475,11 @@ fn sorted_run_spill_fault_degrades_to_hash_without_poisoning() {
         radix_bits: Some(5),
         ht_capacity: 4 * VECTOR_SIZE,
         sorted_input: SortedInput::Sorted,
-        phase2_strategy: Phase2Strategy::SortedMerge,
         ..Default::default()
     };
     // Sorted keys, ~4 rows per group, heapless layout: ~100k groups of
-    // intermediate state against a 1.5 MiB limit, so sorted-run spilling is
-    // mandatory and the first spilled page hits the fault.
+    // intermediate state against a 1.5 MiB limit, so spilling is mandatory
+    // and the first spilled page hits the fault.
     let types = vec![LogicalType::Int64, LogicalType::Int64];
     let mut coll = ChunkCollection::new(types.clone());
     let rows: Vec<Vec<Value>> = (0..400_000i64)
@@ -501,52 +498,34 @@ fn sorted_run_spill_fault_degrades_to_hash_without_poisoning() {
 
     let source = CollectionSource::new(&coll);
     let (out, stats) = hash_aggregate_collect(&mgr, &source, coll.types(), &plan, &config)
-        .expect("a retried transient run-write fault must degrade, not fail");
+        .expect("a retried transient spill-write fault must not fail the query");
     assert!(injector.injected() > 0, "fault never fired");
     assert!(
         mgr.stats().spill_retries > 0,
         "expected the transient fault to cost a spill retry"
     );
+    assert_eq!(stats.profile.strategy, "instream");
     assert_eq!(stats.groups, want.len());
     assert_eq!(sorted_rows(out.chunks()), want);
     assert!(
-        !stats.profile.partition_merges.is_empty(),
-        "no partitions merged"
-    );
-    assert!(
-        stats
-            .profile
-            .partition_merges
-            .iter()
-            .all(|p| p.strategy == "hash"),
-        "dirty spill health must degrade every partition to hash: {:?}",
-        stats.profile.partition_merges
+        stats.profile.partitions_external > 0,
+        "the limit must push partitions external: {:?}",
+        stats.profile
     );
     assert_eq!(mgr.stats().temporary_resident, 0);
     assert_eq!(mgr.stats().temp_bytes_on_disk, 0);
 
-    // Non-poisoning: the one-shot fault is spent, and the retry baseline is
-    // per-query, so the same query on the same manager merges sorted runs.
+    // Non-poisoning: the one-shot fault is spent.
     let source = CollectionSource::new(&coll);
-    let (out2, stats2) =
-        hash_aggregate_collect(&mgr, &source, coll.types(), &plan, &config).unwrap();
+    let (out2, _) = hash_aggregate_collect(&mgr, &source, coll.types(), &plan, &config).unwrap();
     assert_eq!(sorted_rows(out2.chunks()), want);
-    assert!(
-        stats2
-            .profile
-            .partition_merges
-            .iter()
-            .all(|p| p.strategy == "sorted_merge"),
-        "fault-free rerun must return to sorted-run merging: {:?}",
-        stats2.profile.partition_merges
-    );
     assert_eq!(mgr.stats().temporary_resident, 0);
     assert_eq!(mgr.stats().temp_bytes_on_disk, 0);
 }
 
 /// Number of proptest cases for the (more expensive) multi-thread sweep:
-/// every case runs at three thread counts times two forced strategies, so
-/// CI trims it via `PROPTEST_CASES` while local runs get a fuller sweep.
+/// every case runs at three thread counts, so CI trims it via
+/// `PROPTEST_CASES` while local runs get a fuller sweep.
 fn sweep_cases() -> u32 {
     std::env::var("PROPTEST_CASES")
         .ok()
@@ -558,9 +537,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(sweep_cases()))]
 
     /// Many-core correctness: every generated workload also runs at
-    /// threads ∈ {2, 4, 8} — under its (possibly spilling) memory limit and
-    /// with *both* phase-1 strategies forced on — and must reproduce the
-    /// single-thread oracle: exact equality for integer/string aggregates,
+    /// threads ∈ {2, 4, 8} under its (possibly spilling) memory limit and
+    /// must reproduce the single-thread oracle: exact equality for integer/string aggregates,
     /// `total_cmp`-sorted order with float tolerance for the rest.
     #[test]
     fn multi_thread_matches_single_thread_oracle(case in case_strategy()) {
@@ -592,43 +570,36 @@ proptest! {
         let oracle = sorted_rows(out.chunks());
 
         for threads in [2usize, 4, 8] {
-            for strategy in [Phase1Strategy::ThreadLocal, Phase1Strategy::Shared] {
-                let mgr = BufferManager::new(
-                    BufferManagerConfig::with_limit(case.limit_kib << 10)
-                        .page_size(4 << 10)
-                        .temp_dir(scratch_dir("mt-sweep").unwrap()),
-                )
-                .unwrap();
-                let config = AggregateConfig {
-                    threads,
-                    phase1_strategy: strategy,
-                    ..base.clone()
-                };
-                let source = CollectionSource::new(&coll);
-                let result = hash_aggregate_collect(&mgr, &source, coll.types(), &plan, &config);
-                match result {
-                    Ok((out, stats)) => {
-                        let got = sorted_rows(out.chunks());
-                        prop_assert!(
-                            rows_approx_eq(&got, &oracle),
-                            "threads={threads} strategy={strategy:?}: got {} want {}",
-                            got.len(),
-                            oracle.len()
-                        );
-                        prop_assert_eq!(stats.groups, oracle_stats.groups);
-                    }
-                    // A tight limit may legally reject the run (the forced
-                    // shared index or pinned working set cannot fit) — but
-                    // never with residue.
-                    Err(e) if e.is_oom() => {}
-                    Err(e) => prop_assert!(
-                        false,
-                        "threads={threads} strategy={strategy:?}: unexpected error: {e}"
-                    ),
+            let mgr = BufferManager::new(
+                BufferManagerConfig::with_limit(case.limit_kib << 10)
+                    .page_size(4 << 10)
+                    .temp_dir(scratch_dir("mt-sweep").unwrap()),
+            )
+            .unwrap();
+            let config = AggregateConfig {
+                threads,
+                ..base.clone()
+            };
+            let source = CollectionSource::new(&coll);
+            let result = hash_aggregate_collect(&mgr, &source, coll.types(), &plan, &config);
+            match result {
+                Ok((out, stats)) => {
+                    let got = sorted_rows(out.chunks());
+                    prop_assert!(
+                        rows_approx_eq(&got, &oracle),
+                        "threads={threads}: got {} want {}",
+                        got.len(),
+                        oracle.len()
+                    );
+                    prop_assert_eq!(stats.groups, oracle_stats.groups);
                 }
-                prop_assert_eq!(mgr.stats().temporary_resident, 0);
-                prop_assert_eq!(mgr.stats().temp_bytes_on_disk, 0);
+                // A tight limit may legally reject the run (the pinned
+                // working set cannot fit) — but never with residue.
+                Err(e) if e.is_oom() => {}
+                Err(e) => prop_assert!(false, "threads={threads}: unexpected error: {e}"),
             }
+            prop_assert_eq!(mgr.stats().temporary_resident, 0);
+            prop_assert_eq!(mgr.stats().temp_bytes_on_disk, 0);
         }
     }
 }
@@ -686,7 +657,7 @@ fn operator_is_deterministic_under_odd_geometry() {
 /// finalized results (integer aggregates: exact, so scheduling-dependent
 /// merge orders cannot hide behind float tolerance) and identical group
 /// counts — at every thread count, with the per-partition handoff deciding
-/// merge order dynamically, and under both forced phase-1 strategies.
+/// merge order dynamically.
 #[test]
 fn same_seed_same_threads_is_deterministic_at_every_thread_count() {
     let case = Case {
@@ -715,37 +686,34 @@ fn same_seed_same_threads_is_deterministic_at_every_thread_count() {
             AggregateSpec::max(1),
         ],
     };
-    for strategy in [Phase1Strategy::ThreadLocal, Phase1Strategy::Shared] {
-        for threads in [1usize, 2, 4, 8] {
-            let run = || {
-                let mgr = BufferManager::new(
-                    BufferManagerConfig::with_limit(case.limit_kib << 10)
-                        .page_size(4 << 10)
-                        .temp_dir(scratch_dir("det-threads").unwrap()),
-                )
-                .unwrap();
-                let config = AggregateConfig {
-                    threads,
-                    radix_bits: Some(case.radix_bits),
-                    ht_capacity: 4 * VECTOR_SIZE,
-                    output_chunk_size: 901,
-                    reset_fill_percent: 66,
-                    phase1_strategy: strategy,
-                    ..Default::default()
-                };
-                let source = CollectionSource::new(&coll);
-                let (out, stats) =
-                    hash_aggregate_collect(&mgr, &source, coll.types(), &plan, &config).unwrap();
-                (sorted_rows(out.chunks()), stats.groups)
+    for threads in [1usize, 2, 4, 8] {
+        let run = || {
+            let mgr = BufferManager::new(
+                BufferManagerConfig::with_limit(case.limit_kib << 10)
+                    .page_size(4 << 10)
+                    .temp_dir(scratch_dir("det-threads").unwrap()),
+            )
+            .unwrap();
+            let config = AggregateConfig {
+                threads,
+                radix_bits: Some(case.radix_bits),
+                ht_capacity: 4 * VECTOR_SIZE,
+                output_chunk_size: 901,
+                reset_fill_percent: 66,
+                ..Default::default()
             };
-            let (rows_a, groups_a) = run();
-            let (rows_b, groups_b) = run();
-            assert_eq!(
-                rows_a, rows_b,
-                "nondeterministic results at threads={threads} strategy={strategy:?}"
-            );
-            assert_eq!(groups_a, groups_b);
-            assert_eq!(groups_a, 400);
-        }
+            let source = CollectionSource::new(&coll);
+            let (out, stats) =
+                hash_aggregate_collect(&mgr, &source, coll.types(), &plan, &config).unwrap();
+            (sorted_rows(out.chunks()), stats.groups)
+        };
+        let (rows_a, groups_a) = run();
+        let (rows_b, groups_b) = run();
+        assert_eq!(
+            rows_a, rows_b,
+            "nondeterministic results at threads={threads}"
+        );
+        assert_eq!(groups_a, groups_b);
+        assert_eq!(groups_a, 400);
     }
 }

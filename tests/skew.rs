@@ -1,13 +1,15 @@
 //! Skew robustness (paper Section V, "Data Distributions"): because tuples
 //! are partitioned *after* thread-local pre-aggregation, heavy hitters are
 //! reduced before any data is exchanged and partitions stay balanced. These
-//! tests check correctness and balance under Zipf and clustered inputs.
+//! tests check correctness and balance under Zipf and clustered inputs, and
+//! under a key set built to leave radix partitions empty or with one row.
 
 use rexa_buffer::{BufferManager, BufferManagerConfig};
 use rexa_core::simple::{reference_aggregate, sorted_rows};
 use rexa_core::{hash_aggregate_collect, AggregateConfig, AggregateSpec, HashAggregatePlan};
+use rexa_exec::hashing::{hash_u64, radix};
 use rexa_exec::pipeline::CollectionSource;
-use rexa_exec::VECTOR_SIZE;
+use rexa_exec::{ChunkCollection, DataChunk, LogicalType, Vector, VECTOR_SIZE};
 use rexa_storage::scratch_dir;
 use std::sync::Arc;
 
@@ -143,4 +145,91 @@ fn zipf_under_memory_pressure_spills_and_stays_exact() {
         reference_aggregate(&source, coll.types(), &plan.group_cols, &plan.aggregates).unwrap();
     assert_eq!(sorted_rows(out.chunks()).len(), want.len());
     assert_eq!(sorted_rows(out.chunks()), want);
+}
+
+#[test]
+fn empty_and_single_row_partitions_match_reference() {
+    // 16 radix partitions, keys picked by the radix of their hash:
+    // partitions 0..4 receive no row at all, partitions 4..8 exactly one row
+    // (one key, seen once), and the other eight share 60k keys seen twice —
+    // the second occurrences in a later pass, so they meet their first in
+    // phase 2 — which is enough state to spill under the tight limit.
+    let partition = |k: i64| radix(hash_u64(k as u64), 4);
+    let mut single_taken = [false; 16];
+    let mut singles: Vec<i64> = Vec::new();
+    let mut heavy: Vec<i64> = Vec::new();
+    let mut k = 0i64;
+    while heavy.len() < 60_000 {
+        match partition(k) {
+            0..=3 => {}
+            p @ 4..=7 => {
+                if !std::mem::replace(&mut single_taken[p], true) {
+                    singles.push(k);
+                }
+            }
+            _ => heavy.push(k),
+        }
+        k += 1;
+    }
+    assert_eq!(singles.len(), 4);
+    let keys: Vec<i64> = singles
+        .iter()
+        .chain(&heavy)
+        .chain(&heavy)
+        .copied()
+        .collect();
+    let mut coll = ChunkCollection::new(vec![LogicalType::Int64, LogicalType::Int64]);
+    for ch in keys.chunks(VECTOR_SIZE) {
+        let vals: Vec<i64> = ch.iter().map(|k| k * 3).collect();
+        coll.push(DataChunk::new(vec![
+            Vector::from_i64(ch.to_vec()),
+            Vector::from_i64(vals),
+        ]))
+        .unwrap();
+    }
+    let plan = HashAggregatePlan {
+        group_cols: vec![0],
+        aggregates: vec![AggregateSpec::count_star(), AggregateSpec::sum(1)],
+    };
+    let source = CollectionSource::new(&coll);
+    let want =
+        reference_aggregate(&source, coll.types(), &plan.group_cols, &plan.aggregates).unwrap();
+
+    for threads in [1usize, 2, 4] {
+        for (limit, must_spill) in [(64 << 20, false), (3 << 20, true)] {
+            let m = mgr(limit);
+            let cfg = AggregateConfig {
+                threads,
+                ..config()
+            };
+            let source = CollectionSource::new(&coll);
+            let (out, stats) =
+                hash_aggregate_collect(&m, &source, coll.types(), &plan, &cfg).unwrap();
+            let what = format!("threads={threads} limit={limit}");
+            assert_eq!(sorted_rows(out.chunks()), want, "{what}");
+            assert_eq!(
+                stats.buffer.temp_bytes_written > 0,
+                must_spill,
+                "{what}: {:?}",
+                stats.buffer
+            );
+            // Phase 2 saw the shape the keys were built for: the four empty
+            // partitions were skipped, the four singletons emitted one
+            // group each.
+            let merged: Vec<usize> = stats
+                .profile
+                .partition_merges
+                .iter()
+                .map(|m| m.partition)
+                .collect();
+            assert_eq!(merged, (4..16).collect::<Vec<_>>(), "{what}");
+            let mut groups = [0usize; 16];
+            for chunk in out.chunks() {
+                for &k in chunk.column(0).i64s() {
+                    groups[partition(k)] += 1;
+                }
+            }
+            assert_eq!(groups[..8], [0, 0, 0, 0, 1, 1, 1, 1], "{what}");
+        }
+    }
 }
