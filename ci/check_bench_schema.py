@@ -63,15 +63,15 @@ WORKER_KEYS = {
     "ht_resets": int,
 }
 
-# Each workload carries two measurement modes and a scale-free ratio
-# between them: the kernel-comparison workloads compare scalar vs
-# vectorized, "sorted"/"clustered" compare a forced hash phase 1 against
-# the in-stream fast path (forced / detected), and "external" compares sync
-# vs async I/O scheduling.
+# Each workload carries its measurement modes and, when it has two, a
+# scale-free ratio between them: the grouping-shape workloads measure the
+# vectorized path alone, "sorted"/"clustered" compare a forced hash phase 1
+# against the in-stream fast path (forced / detected), and "external"
+# compares sync vs async I/O scheduling.
 EXPECTED_WORKLOADS = {
-    "thin_int": (("scalar", "vectorized"), "phase1_speedup"),
-    "wide_multi_key": (("scalar", "vectorized"), "phase1_speedup"),
-    "string_key": (("scalar", "vectorized"), "phase1_speedup"),
+    "thin_int": (("vectorized",), None),
+    "wide_multi_key": (("vectorized",), None),
+    "string_key": (("vectorized",), None),
     "sorted": (("hash", "instream"), "instream_speedup"),
     "clustered": (("hash", "detect"), "detect_speedup"),
     "external": (("sync", "async"), "io_speedup"),
@@ -184,6 +184,11 @@ def main():
             if mode not in w:
                 fail(f"{name}: missing {mode!r} measurement")
             check_measurement(w[mode], f"{name}.{mode}")
+        extra = set(w) - {"workload", "rows", "groups", *modes} - {speedup_key}
+        if extra:
+            fail(f"{name}: unexpected keys {sorted(extra)}")
+        if speedup_key is None:
+            continue
         speedup = w.get(speedup_key)
         if not isinstance(speedup, (int, float)) or speedup < 0:
             fail(f"{name}.{speedup_key}: expected non-negative number, got {speedup!r}")

@@ -8,10 +8,11 @@ Two comparison modes, chosen automatically:
   per-mode `phase1_rows_per_sec` must not drop by more than the tolerance.
 * **Different row counts** (the CI smoke run vs the full baseline):
   absolute throughputs are not comparable across scales, so only the
-  scale-free ratios are compared — `phase1_speedup` (vectorized over
-  scalar) and `io_speedup` (sync over async). Ratio checks are advisory by
-  default (printed, never fatal) because tiny smoke runs are noise-
-  dominated; pass `--ratio-tolerance PCT` to enforce them.
+  scale-free ratios are compared — `instream_speedup`/`detect_speedup`
+  (hash over the in-stream path) and `io_speedup` (sync over async); the
+  single-mode grouping-shape workloads have none. Ratio checks are
+  advisory by default (printed, never fatal) because tiny smoke runs are
+  noise-dominated; pass `--ratio-tolerance PCT` to enforce them.
 
 Usage:
   compare_bench.py <baseline.json> <candidate.json>
@@ -34,17 +35,14 @@ DEFAULT_TOLERANCE = 10.0  # percent
 
 # Per-workload measurement modes carrying phase1_rows_per_sec.
 MODES = {
-    "thin_int": ("scalar", "vectorized"),
-    "wide_multi_key": ("scalar", "vectorized"),
-    "string_key": ("scalar", "vectorized"),
+    "thin_int": ("vectorized",),
+    "wide_multi_key": ("vectorized",),
+    "string_key": ("vectorized",),
     "sorted": ("hash", "instream"),
     "clustered": ("hash", "detect"),
     "external": ("sync", "async"),
 }
 RATIO_KEYS = {
-    "thin_int": "phase1_speedup",
-    "wide_multi_key": "phase1_speedup",
-    "string_key": "phase1_speedup",
     "sorted": "instream_speedup",
     "clustered": "detect_speedup",
     "external": "io_speedup",
@@ -114,7 +112,7 @@ def main():
                 rows.append((f"{name}/{mode}", bv, cv, delta, ok, True))
                 if not ok:
                     failures.append(f"{name}/{mode}")
-        ratio_key = RATIO_KEYS[name]
+        ratio_key = RATIO_KEYS.get(name)
         bv, cv = b.get(ratio_key), c.get(ratio_key)
         if bv and cv and bv > 0:
             delta = (cv - bv) / bv * 100.0

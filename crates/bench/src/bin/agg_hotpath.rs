@@ -1,8 +1,8 @@
 //! **Aggregation hot-path baseline**: rows/sec of phase 1 (thread-local
-//! pre-aggregation) and phase 2 (partition-wise aggregation) for the
-//! vectorized kernels against the retained scalar oracle, across the three
-//! grouping shapes the kernels were built for (thin integer key, wide
-//! multi-column key, string key).
+//! pre-aggregation) and phase 2 (partition-wise aggregation) of the
+//! vectorized kernels across the three grouping shapes they were built for
+//! (thin integer key, wide multi-column key, string key), plus the
+//! sorted-input and external (spilling) shapes.
 //!
 //! Emits a machine-readable `BENCH_agg.json` (see README "Benchmarks") so
 //! regressions in the aggregation hot path are visible diff-to-diff; the
@@ -37,7 +37,7 @@ use rexa_buffer::{BufferManager, BufferManagerConfig, EvictionPolicy};
 use rexa_core::simple::sorted_rows;
 use rexa_core::{
     hash_aggregate_collect, hash_aggregate_streaming, AggregateConfig, AggregateSpec,
-    HashAggregatePlan, KernelMode, RunStats, SortedInput,
+    HashAggregatePlan, RunStats, SortedInput,
 };
 use rexa_exec::pipeline::CollectionSource;
 use rexa_exec::pool::ExecContext;
@@ -485,13 +485,7 @@ impl PoolSetup {
     }
 }
 
-fn measure(
-    w: &Workload,
-    mode: KernelMode,
-    threads: usize,
-    reps: usize,
-    setup: &PoolSetup,
-) -> Measurement {
+fn measure(w: &Workload, threads: usize, reps: usize, setup: &PoolSetup) -> Measurement {
     let mgr = BufferManager::new(
         BufferManagerConfig::with_limit(setup.mem_limit)
             .page_size(setup.page_size)
@@ -503,7 +497,6 @@ fn measure(
     .unwrap();
     let config = AggregateConfig {
         threads,
-        kernel_mode: mode,
         readahead_depth: setup.readahead_depth,
         radix_bits: setup.radix_bits,
         sorted_input: setup.sorted_input,
@@ -564,7 +557,6 @@ fn trace_external_run(ext: &Workload, threads: usize, path: &str) {
     .unwrap();
     let config = AggregateConfig {
         threads,
-        kernel_mode: KernelMode::Vectorized,
         readahead_depth: 2,
         radix_bits: Some(6),
         // Small phase-1 tables: their live rows are pinned, and the traced
@@ -705,52 +697,20 @@ fn main() {
     .to_vec();
     let mut table = Vec::new();
     for w in &workloads {
-        let scalar = measure(
-            w,
-            KernelMode::Scalar,
-            args.threads,
-            args.reps,
-            &PoolSetup::in_memory(),
-        );
-        let vectorized = measure(
-            w,
-            KernelMode::Vectorized,
-            args.threads,
-            args.reps,
-            &PoolSetup::in_memory(),
-        );
-        assert_eq!(
-            scalar.groups, vectorized.groups,
-            "{}: modes disagree on group count",
-            w.name
-        );
-        let speedup = if vectorized.phase1_secs > 0.0 {
-            scalar.phase1_secs / vectorized.phase1_secs
-        } else {
-            0.0
-        };
-        for (mode, m) in [("scalar", &scalar), ("vectorized", &vectorized)] {
-            table.push(vec![
-                w.name.to_string(),
-                mode.to_string(),
-                format!("{:.1}", rate(m.rows_in, m.phase1_secs) / 1e6),
-                format!("{:.1}", rate(m.rows_in, m.phase2_secs) / 1e6),
-                if mode == "vectorized" {
-                    format!("{speedup:.2}x")
-                } else {
-                    "1.00x".to_string()
-                },
-            ]);
-        }
+        let m = measure(w, args.threads, args.reps, &PoolSetup::in_memory());
+        table.push(vec![
+            w.name.to_string(),
+            "vectorized".to_string(),
+            format!("{:.1}", rate(m.rows_in, m.phase1_secs) / 1e6),
+            format!("{:.1}", rate(m.rows_in, m.phase2_secs) / 1e6),
+            "-".to_string(),
+        ]);
         entries.push(format!(
-            "    {{\"workload\": \"{}\", \"rows\": {}, \"groups\": {}, \
-             \"scalar\": {}, \"vectorized\": {}, \"phase1_speedup\": {:.3}}}",
+            "    {{\"workload\": \"{}\", \"rows\": {}, \"groups\": {}, \"vectorized\": {}}}",
             w.name,
-            scalar.rows_in,
-            scalar.groups,
-            json_measurement(&scalar),
-            json_measurement(&vectorized),
-            speedup,
+            m.rows_in,
+            m.groups,
+            json_measurement(&m),
         ));
     }
     // The sorted-input frontier, in memory: `sorted` compares a forced hash
@@ -770,20 +730,8 @@ fn main() {
         (&srt, &instream_setup, "instream", "instream_speedup"),
         (&clu, &PoolSetup::in_memory(), "detect", "detect_speedup"),
     ] {
-        let hash_m = measure(
-            w,
-            KernelMode::Vectorized,
-            args.threads,
-            args.reps,
-            &hash_setup,
-        );
-        let fast_m = measure(
-            w,
-            KernelMode::Vectorized,
-            args.threads,
-            args.reps,
-            fast_setup,
-        );
+        let hash_m = measure(w, args.threads, args.reps, &hash_setup);
+        let fast_m = measure(w, args.threads, args.reps, fast_setup);
         assert_eq!(
             hash_m.groups, fast_m.groups,
             "{}: hash and {fast_label} disagree on group count",
@@ -843,20 +791,8 @@ fn main() {
         readahead_depth: 2,
         ..sync_setup
     };
-    let sync_m = measure(
-        &ext,
-        KernelMode::Vectorized,
-        args.threads,
-        args.reps,
-        &sync_setup,
-    );
-    let async_m = measure(
-        &ext,
-        KernelMode::Vectorized,
-        args.threads,
-        args.reps,
-        &async_setup,
-    );
+    let sync_m = measure(&ext, args.threads, args.reps, &sync_setup);
+    let async_m = measure(&ext, args.threads, args.reps, &async_setup);
     assert_eq!(
         sync_m.groups, async_m.groups,
         "external: sync and async disagree on group count"
@@ -911,13 +847,7 @@ fn main() {
         let thin = &workloads[0];
         assert_eq!(thin.name, "thin_int");
         for &t in counts {
-            let m = measure(
-                thin,
-                KernelMode::Vectorized,
-                t,
-                args.reps,
-                &PoolSetup::in_memory(),
-            );
+            let m = measure(thin, t, args.reps, &PoolSetup::in_memory());
             sweep_table.push(vec![
                 thin.name.to_string(),
                 t.to_string(),

@@ -7,11 +7,14 @@
 //! moment it does not. Memory is accounted against the shared buffer
 //! manager via non-paged reservations, so running this baseline also
 //! pressures cached pages — but its own state cannot spill.
+//!
+//! Aggregate states are updated, combined and finalized through the bound
+//! kernels (`crate::kernel`), one call per aggregate per chunk.
+
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 use crate::baselines::keyser::{decode_row, serialize_row, ByteHashBuilder};
-use crate::function::{
-    bind_aggregate, finalize_state, update_state, AggKind, AggregateSpec, BoundAggregate,
-};
+use crate::function::{bind_aggregate, AggKind, AggregateSpec, BoundAggregate};
 use parking_lot::Mutex;
 use rexa_buffer::BufferManager;
 use rexa_exec::pipeline::{CancelToken, ChunkSource, LocalSink, ParallelSink, Pipeline};
@@ -19,9 +22,12 @@ use rexa_exec::{DataChunk, Error, LogicalType, Result, Value, Vector};
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Per-group state: fixed aggregate states plus owned ANY_VALUE slots.
+/// Per-group state: fixed aggregate states plus owned ANY_VALUE slots. The
+/// state buffer never moves while the entry lives, even when the map
+/// rehashes, and `Vec::as_mut_ptr` takes no reference to it, so pointers
+/// to it stay valid across inserts.
 struct GroupEntry {
-    states: Box<[u8]>,
+    states: Vec<u8>,
     any: Box<[Option<Value>]>,
 }
 
@@ -82,6 +88,17 @@ fn bind(
     })
 }
 
+impl Bound {
+    /// The aggregates with a state (all but `ANY_VALUE`), with their
+    /// positions in `aggs`.
+    fn stateful(&self) -> impl Iterator<Item = (usize, &BoundAggregate)> {
+        self.aggs
+            .iter()
+            .enumerate()
+            .filter(|(_, a)| a.spec.kind != AggKind::AnyValue)
+    }
+}
+
 type GroupMap = HashMap<Box<[u8]>, GroupEntry, ByteHashBuilder>;
 
 struct MergedState {
@@ -140,6 +157,8 @@ impl LocalSink for InMemLocal<'_> {
         self.sink.cancel.check()?;
         let bound = self.sink.bound;
         let group_views: Vec<&Vector> = bound.group_cols.iter().map(|&c| chunk.column(c)).collect();
+        // Each row's group states, for one kernel call per aggregate below.
+        let mut rows: Vec<*mut u8> = Vec::with_capacity(chunk.len());
         for i in 0..chunk.len() {
             self.key_scratch.clear();
             serialize_row(&group_views, i, &mut self.key_scratch);
@@ -149,41 +168,37 @@ impl LocalSink for InMemLocal<'_> {
                 None => {
                     let key: Box<[u8]> = self.key_scratch.as_slice().into();
                     let e = GroupEntry {
-                        states: vec![0u8; bound.states_size].into_boxed_slice(),
+                        states: vec![0u8; bound.states_size],
                         any: vec![None; bound.any_count].into_boxed_slice(),
                     };
                     added = entry_cost(key.len(), bound.states_size, &e.any);
                     self.map.entry(key).or_insert(e)
                 }
             };
-            let mut any_idx = 0usize;
-            for (k, agg) in bound.aggs.iter().enumerate() {
-                if agg.spec.kind == AggKind::AnyValue {
-                    let slot = &mut entry.any[any_idx];
-                    any_idx += 1;
-                    if slot.is_none() {
-                        let v = chunk.column(agg.spec.arg.unwrap()).value(i);
-                        if let Value::Varchar(s) = &v {
-                            added += 32 + s.len();
-                        }
-                        *slot = Some(v);
+            rows.push(entry.states.as_mut_ptr());
+            let any_aggs = bound
+                .aggs
+                .iter()
+                .filter(|a| a.spec.kind == AggKind::AnyValue);
+            for (slot, agg) in entry.any.iter_mut().zip(any_aggs) {
+                if slot.is_none() {
+                    let v = chunk.column(agg.spec.arg.unwrap()).value(i);
+                    if let Value::Varchar(s) = &v {
+                        added += 32 + s.len();
                     }
-                } else {
-                    let arg = agg.spec.arg.map(|c| chunk.column(c));
-                    // SAFETY: states are sized by bind; offsets in range.
-                    unsafe {
-                        update_state(
-                            agg,
-                            entry.states.as_mut_ptr().add(bound.state_offsets[k]),
-                            arg,
-                            i,
-                        )
-                    };
+                    *slot = Some(v);
                 }
             }
             if added > 0 {
                 self.grow(added)?;
             }
+        }
+        for (k, agg) in bound.stateful() {
+            let arg = agg.spec.arg.map(|c| chunk.column(c));
+            // SAFETY: one target per input row, each the state buffer of a
+            // live map entry (stable across rehashes), which holds this
+            // aggregate's state at `state_offsets[k]`.
+            unsafe { (agg.kernels.update)(&rows, bound.state_offsets[k], arg) };
         }
         Ok(())
     }
@@ -196,6 +211,9 @@ impl LocalSink for InMemLocal<'_> {
         if merged.reservation.is_none() {
             merged.reservation = Some(self.sink.mgr.reserve(0)?);
         }
+        // Groups already in the merged map: (local states, merged states).
+        // ANY_VALUE keeps the merged map's value.
+        let mut dups: Vec<(Vec<u8>, *mut u8)> = Vec::new();
         for (key, entry) in self.map {
             match merged.map.get_mut(&key) {
                 None => {
@@ -206,23 +224,19 @@ impl LocalSink for InMemLocal<'_> {
                     }
                     merged.map.insert(key, entry);
                 }
-                Some(existing) => {
-                    for (k, agg) in bound.aggs.iter().enumerate() {
-                        if agg.spec.kind == AggKind::AnyValue {
-                            continue; // keep the existing ANY_VALUE
-                        }
-                        let off = bound.state_offsets[k];
-                        // SAFETY: both states valid for this aggregate.
-                        unsafe {
-                            crate::function::combine_state(
-                                agg,
-                                entry.states.as_ptr().add(off),
-                                existing.states.as_mut_ptr().add(off),
-                            )
-                        };
-                    }
-                }
+                Some(existing) => dups.push((entry.states, existing.states.as_mut_ptr())),
             }
+        }
+        for (k, agg) in bound.stateful() {
+            let off = bound.state_offsets[k];
+            let pairs: Vec<(*const u8, *mut u8)> = dups
+                .iter()
+                .map(|(src, dst)| (src[off..].as_ptr(), dst.wrapping_add(off)))
+                .collect();
+            // SAFETY: each pair is a local group's states and a distinct
+            // live merged entry's states (stable across the inserts above),
+            // both holding this aggregate's state at `off`.
+            unsafe { (agg.kernels.combine)(&pairs) };
         }
         Ok(())
     }
@@ -254,36 +268,42 @@ pub fn in_memory_aggregate(
     };
     Pipeline::run(source, &sink, threads)?;
 
-    // Emit.
+    // Emit, one output chunk per batch of groups.
     let merged = sink.merged.into_inner();
     let groups = merged.map.len();
-    let mut out = DataChunk::empty(&bound.output_types);
-    for (key, entry) in &merged.map {
+    let entries: Vec<_> = merged.map.iter().collect();
+    for batch in entries.chunks(rexa_exec::VECTOR_SIZE) {
         cancel.check()?;
-        let mut pos = 0usize;
-        let mut row = decode_row(key, &mut pos, &bound.group_types)?;
-        let mut any_idx = 0usize;
-        for (k, agg) in bound.aggs.iter().enumerate() {
-            if agg.spec.kind == AggKind::AnyValue {
-                row.push(entry.any[any_idx].clone().unwrap_or(Value::Null));
-                any_idx += 1;
-            } else {
-                // SAFETY: state sized and initialized by this module.
-                row.push(unsafe {
-                    finalize_state(agg, entry.states.as_ptr().add(bound.state_offsets[k]))
-                });
+        let mut columns: Vec<Vector> = bound
+            .output_types
+            .iter()
+            .map(|&t| Vector::empty(t))
+            .collect();
+        for &(key, entry) in batch {
+            let mut pos = 0usize;
+            let keys = decode_row(key, &mut pos, &bound.group_types)?;
+            for (col, v) in columns.iter_mut().zip(&keys) {
+                col.push_value(v)?;
+            }
+            let mut any = entry.any.iter();
+            for (k, agg) in bound.aggs.iter().enumerate() {
+                if agg.spec.kind == AggKind::AnyValue {
+                    let v = any.next().unwrap().clone().unwrap_or(Value::Null);
+                    columns[bound.group_cols.len() + k].push_value(&v)?;
+                }
             }
         }
-        out.push_row(&row)?;
-        if out.len() == rexa_exec::VECTOR_SIZE {
-            consumer(std::mem::replace(
-                &mut out,
-                DataChunk::empty(&bound.output_types),
-            ))?;
+        for (k, agg) in bound.stateful() {
+            let off = bound.state_offsets[k];
+            let states: Vec<*const u8> = batch
+                .iter()
+                .map(|(_, e)| e.states[off..].as_ptr())
+                .collect();
+            // SAFETY: every pointer is this aggregate's state inside a live
+            // entry, updated and combined only through its kernels.
+            columns[bound.group_cols.len() + k] = unsafe { (agg.kernels.finalize)(&states) };
         }
-    }
-    if !out.is_empty() {
-        consumer(out)?;
+        consumer(DataChunk::new(columns))?;
     }
     Ok(groups)
 }

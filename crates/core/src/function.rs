@@ -7,8 +7,7 @@
 //! variable-size aggregate results can live inside the spillable layout —
 //! see DESIGN.md).
 
-use rexa_exec::vector::VectorData;
-use rexa_exec::{Error, LogicalType, Result, Value, Vector};
+use rexa_exec::{Error, LogicalType, Result};
 
 /// The supported aggregate functions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -125,8 +124,9 @@ pub struct BoundAggregate {
     /// The result type.
     pub output_type: LogicalType,
     /// Selection-vector update/combine/finalize kernels, resolved once here
-    /// at bind time (see [`crate::kernel`]). The per-row functions below
-    /// remain the reference oracle.
+    /// at bind time (see [`crate::kernel`]). They are the only
+    /// implementation of the aggregate semantics; the independent oracle is
+    /// [`crate::simple`].
     pub kernels: crate::kernel::AggKernels,
 }
 
@@ -208,253 +208,18 @@ pub fn bind_aggregate(spec: AggregateSpec, schema: &[LogicalType]) -> Result<Bou
         arg_type,
         state_size,
         output_type,
-        kernels: crate::kernel::resolve(spec.kind, arg_type, output_type),
+        kernels: crate::kernel::resolve(spec.kind, arg_type),
     })
 }
 
-#[inline]
-unsafe fn read_i64(p: *const u8) -> i64 {
-    std::ptr::read_unaligned(p as *const i64)
-}
-#[inline]
-unsafe fn write_i64(p: *mut u8, v: i64) {
-    std::ptr::write_unaligned(p as *mut i64, v);
-}
-#[inline]
-unsafe fn read_f64(p: *const u8) -> f64 {
-    std::ptr::read_unaligned(p as *const f64)
-}
-#[inline]
-unsafe fn write_f64(p: *mut u8, v: f64) {
-    std::ptr::write_unaligned(p as *mut f64, v);
-}
-
-/// Numeric input widened to the state's domain.
-#[inline]
-fn numeric(col: &Vector, row: usize) -> f64 {
-    match col.data() {
-        VectorData::I32(v) => v[row] as f64,
-        VectorData::I64(v) => v[row] as f64,
-        VectorData::F64(v) => v[row],
-        VectorData::Str(_) => unreachable!("bound aggregates reject strings"),
-    }
-}
-
-#[inline]
-fn integral(col: &Vector, row: usize) -> i64 {
-    match col.data() {
-        VectorData::I32(v) => v[row] as i64,
-        VectorData::I64(v) => v[row],
-        _ => unreachable!(),
-    }
-}
-
-/// Min/Max state: `[u64 seen][8-byte value as i64 or f64 bits]`.
-const MM_VALUE: usize = 8;
-
-/// Fold input row `row` of `col` into the state at `state`.
-///
-/// # Safety
-/// `state` must point to `state_size` writable bytes of the matching bound
-/// aggregate's state.
-pub unsafe fn update_state(agg: &BoundAggregate, state: *mut u8, col: Option<&Vector>, row: usize) {
-    match agg.spec.kind {
-        AggKind::CountStar => write_i64(state, read_i64(state) + 1),
-        AggKind::Count => {
-            let col = col.unwrap();
-            if col.validity().is_valid(row) {
-                write_i64(state, read_i64(state) + 1);
-            }
-        }
-        AggKind::Sum => {
-            let col = col.unwrap();
-            if !col.validity().is_valid(row) {
-                return;
-            }
-            match agg.output_type {
-                LogicalType::Int64 => {
-                    write_i64(state, read_i64(state).wrapping_add(integral(col, row)))
-                }
-                _ => write_f64(state, read_f64(state) + numeric(col, row)),
-            }
-        }
-        AggKind::Avg => {
-            let col = col.unwrap();
-            if !col.validity().is_valid(row) {
-                return;
-            }
-            write_f64(state, read_f64(state) + numeric(col, row));
-            write_i64(state.add(8), read_i64(state.add(8)) + 1);
-        }
-        AggKind::Min | AggKind::Max => {
-            let col = col.unwrap();
-            if !col.validity().is_valid(row) {
-                return;
-            }
-            let seen = read_i64(state) != 0;
-            let want_min = agg.spec.kind == AggKind::Min;
-            match agg.output_type {
-                LogicalType::Float64 => {
-                    let v = numeric(col, row);
-                    let cur = read_f64(state.add(MM_VALUE));
-                    if !seen
-                        || (want_min && v.total_cmp(&cur).is_lt())
-                        || (!want_min && v.total_cmp(&cur).is_gt())
-                    {
-                        write_f64(state.add(MM_VALUE), v);
-                    }
-                }
-                _ => {
-                    let v = match col.data() {
-                        VectorData::I32(d) => d[row] as i64,
-                        VectorData::I64(d) => d[row],
-                        _ => unreachable!(),
-                    };
-                    let cur = read_i64(state.add(MM_VALUE));
-                    if !seen || (want_min && v < cur) || (!want_min && v > cur) {
-                        write_i64(state.add(MM_VALUE), v);
-                    }
-                }
-            }
-            write_i64(state, 1);
-        }
-        AggKind::VarSamp | AggKind::StdDevSamp => {
-            // Welford: state = [count i64][mean f64][M2 f64].
-            let col = col.unwrap();
-            if !col.validity().is_valid(row) {
-                return;
-            }
-            let x = numeric(col, row);
-            let n = read_i64(state) + 1;
-            let mean = read_f64(state.add(8));
-            let m2 = read_f64(state.add(16));
-            let delta = x - mean;
-            let mean2 = mean + delta / n as f64;
-            write_i64(state, n);
-            write_f64(state.add(8), mean2);
-            write_f64(state.add(16), m2 + delta * (x - mean2));
-        }
-        AggKind::AnyValue => unreachable!("ANY_VALUE has no state"),
-    }
-}
-
-/// Merge `src` into `dst` (phase-2 duplicate-group combining).
-///
-/// # Safety
-/// Both pointers must address valid states of this bound aggregate.
-pub unsafe fn combine_state(agg: &BoundAggregate, src: *const u8, dst: *mut u8) {
-    match agg.spec.kind {
-        AggKind::CountStar | AggKind::Count => write_i64(dst, read_i64(dst) + read_i64(src)),
-        AggKind::Sum => match agg.output_type {
-            LogicalType::Int64 => write_i64(dst, read_i64(dst).wrapping_add(read_i64(src))),
-            _ => write_f64(dst, read_f64(dst) + read_f64(src)),
-        },
-        AggKind::Avg => {
-            write_f64(dst, read_f64(dst) + read_f64(src));
-            write_i64(dst.add(8), read_i64(dst.add(8)) + read_i64(src.add(8)));
-        }
-        AggKind::Min | AggKind::Max => {
-            if read_i64(src) == 0 {
-                return; // src never saw a value
-            }
-            let dst_seen = read_i64(dst) != 0;
-            let want_min = agg.spec.kind == AggKind::Min;
-            match agg.output_type {
-                LogicalType::Float64 => {
-                    let sv = read_f64(src.add(MM_VALUE));
-                    let dv = read_f64(dst.add(MM_VALUE));
-                    if !dst_seen
-                        || (want_min && sv.total_cmp(&dv).is_lt())
-                        || (!want_min && sv.total_cmp(&dv).is_gt())
-                    {
-                        write_f64(dst.add(MM_VALUE), sv);
-                    }
-                }
-                _ => {
-                    let sv = read_i64(src.add(MM_VALUE));
-                    let dv = read_i64(dst.add(MM_VALUE));
-                    if !dst_seen || (want_min && sv < dv) || (!want_min && sv > dv) {
-                        write_i64(dst.add(MM_VALUE), sv);
-                    }
-                }
-            }
-            write_i64(dst, 1);
-        }
-        AggKind::VarSamp | AggKind::StdDevSamp => {
-            // Chan et al.: parallel combination of Welford states.
-            let nb = read_i64(src);
-            if nb == 0 {
-                return;
-            }
-            let na = read_i64(dst);
-            let (ma, m2a) = (read_f64(dst.add(8)), read_f64(dst.add(16)));
-            let (mb, m2b) = (read_f64(src.add(8)), read_f64(src.add(16)));
-            let n = na + nb;
-            let delta = mb - ma;
-            let mean = ma + delta * nb as f64 / n as f64;
-            let m2 = m2a + m2b + delta * delta * na as f64 * nb as f64 / n as f64;
-            write_i64(dst, n);
-            write_f64(dst.add(8), mean);
-            write_f64(dst.add(16), m2);
-        }
-        AggKind::AnyValue => unreachable!("ANY_VALUE has no state"),
-    }
-}
-
-/// Produce the final value of a state.
-///
-/// # Safety
-/// `state` must address a valid state of this bound aggregate.
-pub unsafe fn finalize_state(agg: &BoundAggregate, state: *const u8) -> Value {
-    match agg.spec.kind {
-        AggKind::CountStar | AggKind::Count => Value::Int64(read_i64(state)),
-        AggKind::Sum => match agg.output_type {
-            LogicalType::Int64 => Value::Int64(read_i64(state)),
-            _ => Value::Float64(read_f64(state)),
-        },
-        AggKind::Avg => {
-            let count = read_i64(state.add(8));
-            if count == 0 {
-                Value::Null
-            } else {
-                Value::Float64(read_f64(state) / count as f64)
-            }
-        }
-        AggKind::Min | AggKind::Max => {
-            if read_i64(state) == 0 {
-                return Value::Null;
-            }
-            match agg.output_type {
-                LogicalType::Float64 => Value::Float64(read_f64(state.add(MM_VALUE))),
-                LogicalType::Int32 => Value::Int32(read_i64(state.add(MM_VALUE)) as i32),
-                LogicalType::Date => Value::Date(read_i64(state.add(MM_VALUE)) as i32),
-                LogicalType::Int64 => Value::Int64(read_i64(state.add(MM_VALUE))),
-                LogicalType::Varchar => unreachable!("rejected at bind time"),
-            }
-        }
-        AggKind::VarSamp | AggKind::StdDevSamp => {
-            let n = read_i64(state);
-            if n < 2 {
-                return Value::Null;
-            }
-            let var = read_f64(state.add(16)) / (n - 1) as f64;
-            if agg.spec.kind == AggKind::VarSamp {
-                Value::Float64(var)
-            } else {
-                Value::Float64(var.sqrt())
-            }
-        }
-        AggKind::AnyValue => unreachable!("ANY_VALUE has no state"),
-    }
-}
-
+// The semantic tests below drive the bound kernels through the safe
+// `kernel::TestStates` harness: state 0 is the accumulator unless a test
+// says otherwise.
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn state_for(agg: &BoundAggregate) -> Vec<u8> {
-        vec![0u8; agg.state_size.max(1)]
-    }
+    use crate::kernel::TestStates;
+    use rexa_exec::{Value, Vector};
 
     #[test]
     fn bind_rejects_bad_args() {
@@ -484,39 +249,26 @@ mod tests {
             &[Value::Int64(1), Value::Null, Value::Int64(3)],
         )
         .unwrap();
-        let mut s1 = state_for(&star);
-        let mut s2 = state_for(&cnt);
-        unsafe {
-            for row in 0..3 {
-                update_state(&star, s1.as_mut_ptr(), None, row);
-                update_state(&cnt, s2.as_mut_ptr(), Some(&col), row);
-            }
-            assert_eq!(finalize_state(&star, s1.as_ptr()), Value::Int64(3));
-            assert_eq!(finalize_state(&cnt, s2.as_ptr()), Value::Int64(2));
-        }
+        let mut s1 = TestStates::new(&star, 1);
+        let mut s2 = TestStates::new(&cnt, 1);
+        s1.update(&[0; 3], None);
+        s2.update(&[0; 3], Some(&col));
+        assert_eq!(s1.finalize(0), Value::Int64(3));
+        assert_eq!(s2.finalize(0), Value::Int64(2));
     }
 
     #[test]
     fn sum_int_and_float() {
         let si = bind_aggregate(AggregateSpec::sum(0), &[LogicalType::Int32]).unwrap();
         assert_eq!(si.output_type, LogicalType::Int64);
-        let ci = Vector::from_i32(vec![1, 2, 3]);
-        let mut s = state_for(&si);
-        unsafe {
-            for row in 0..3 {
-                update_state(&si, s.as_mut_ptr(), Some(&ci), row);
-            }
-            assert_eq!(finalize_state(&si, s.as_ptr()), Value::Int64(6));
-        }
+        let mut s = TestStates::new(&si, 1);
+        s.update(&[0; 3], Some(&Vector::from_i32(vec![1, 2, 3])));
+        assert_eq!(s.finalize(0), Value::Int64(6));
 
         let sf = bind_aggregate(AggregateSpec::sum(0), &[LogicalType::Float64]).unwrap();
-        let cf = Vector::from_f64(vec![0.5, 1.5]);
-        let mut s = state_for(&sf);
-        unsafe {
-            update_state(&sf, s.as_mut_ptr(), Some(&cf), 0);
-            update_state(&sf, s.as_mut_ptr(), Some(&cf), 1);
-            assert_eq!(finalize_state(&sf, s.as_ptr()), Value::Float64(2.0));
-        }
+        let mut s = TestStates::new(&sf, 1);
+        s.update(&[0; 2], Some(&Vector::from_f64(vec![0.5, 1.5])));
+        assert_eq!(s.finalize(0), Value::Float64(2.0));
     }
 
     #[test]
@@ -529,56 +281,40 @@ mod tests {
             &[Value::Null, Value::Int64(-5), Value::Int64(2), Value::Null],
         )
         .unwrap();
-        let mut smn = state_for(&mn);
-        let mut smx = state_for(&mx);
-        unsafe {
-            for row in 0..4 {
-                update_state(&mn, smn.as_mut_ptr(), Some(&col), row);
-                update_state(&mx, smx.as_mut_ptr(), Some(&col), row);
-            }
-            assert_eq!(finalize_state(&mn, smn.as_ptr()), Value::Int64(-5));
-            assert_eq!(finalize_state(&mx, smx.as_ptr()), Value::Int64(2));
-        }
+        let mut smn = TestStates::new(&mn, 1);
+        let mut smx = TestStates::new(&mx, 1);
+        smn.update(&[0; 4], Some(&col));
+        smx.update(&[0; 4], Some(&col));
+        assert_eq!(smn.finalize(0), Value::Int64(-5));
+        assert_eq!(smx.finalize(0), Value::Int64(2));
     }
 
     #[test]
     fn min_all_null_is_null() {
         let mn = bind_aggregate(AggregateSpec::min(0), &[LogicalType::Int64]).unwrap();
         let col = Vector::from_values(LogicalType::Int64, &[Value::Null]).unwrap();
-        let mut s = state_for(&mn);
-        unsafe {
-            update_state(&mn, s.as_mut_ptr(), Some(&col), 0);
-            assert_eq!(finalize_state(&mn, s.as_ptr()), Value::Null);
-        }
+        let mut s = TestStates::new(&mn, 1);
+        s.update(&[0], Some(&col));
+        assert_eq!(s.finalize(0), Value::Null);
     }
 
     #[test]
     fn min_zero_is_a_real_value() {
         // Regression guard: zeroed state must not make 0 look like "seen 0".
         let mn = bind_aggregate(AggregateSpec::min(0), &[LogicalType::Int64]).unwrap();
-        let col = Vector::from_i64(vec![5]);
-        let mut s = state_for(&mn);
-        unsafe {
-            update_state(&mn, s.as_mut_ptr(), Some(&col), 0);
-            assert_eq!(finalize_state(&mn, s.as_ptr()), Value::Int64(5));
-        }
+        let mut s = TestStates::new(&mn, 1);
+        s.update(&[0], Some(&Vector::from_i64(vec![5])));
+        assert_eq!(s.finalize(0), Value::Int64(5));
     }
 
     #[test]
     fn avg_and_avg_of_nothing() {
         let avg = bind_aggregate(AggregateSpec::avg(0), &[LogicalType::Int32]).unwrap();
-        let col = Vector::from_i32(vec![1, 2, 4]);
-        let mut s = state_for(&avg);
-        unsafe {
-            for row in 0..3 {
-                update_state(&avg, s.as_mut_ptr(), Some(&col), row);
-            }
-            assert_eq!(finalize_state(&avg, s.as_ptr()), Value::Float64(7.0 / 3.0));
-        }
-        let empty = state_for(&avg);
-        unsafe {
-            assert_eq!(finalize_state(&avg, empty.as_ptr()), Value::Null);
-        }
+        // State 1 is never updated.
+        let mut s = TestStates::new(&avg, 2);
+        s.update(&[0; 3], Some(&Vector::from_i32(vec![1, 2, 4])));
+        assert_eq!(s.finalize(0), Value::Float64(7.0 / 3.0));
+        assert_eq!(s.finalize(1), Value::Null);
     }
 
     #[test]
@@ -591,129 +327,88 @@ mod tests {
             (AggregateSpec::count(0), Value::Int64(4)),
         ] {
             let agg = bind_aggregate(spec, &schema).unwrap();
-            let col = Vector::from_i64(vec![1, 2, 3, 4]);
-            let mut a = state_for(&agg);
-            let mut b = state_for(&agg);
-            unsafe {
-                update_state(&agg, a.as_mut_ptr(), Some(&col), 0);
-                update_state(&agg, a.as_mut_ptr(), Some(&col), 1);
-                update_state(&agg, b.as_mut_ptr(), Some(&col), 2);
-                update_state(&agg, b.as_mut_ptr(), Some(&col), 3);
-                combine_state(&agg, b.as_ptr(), a.as_mut_ptr());
-                assert_eq!(finalize_state(&agg, a.as_ptr()), expect, "{spec:?}");
-            }
+            let mut s = TestStates::new(&agg, 2);
+            s.update(&[0, 0, 1, 1], Some(&Vector::from_i64(vec![1, 2, 3, 4])));
+            s.combine(1, 0);
+            assert_eq!(s.finalize(0), expect, "{spec:?}");
         }
     }
 
     #[test]
     fn combine_min_with_empty_src() {
         let agg = bind_aggregate(AggregateSpec::min(0), &[LogicalType::Int64]).unwrap();
-        let col = Vector::from_i64(vec![3]);
-        let mut a = state_for(&agg);
-        let b = state_for(&agg); // never updated
-        unsafe {
-            update_state(&agg, a.as_mut_ptr(), Some(&col), 0);
-            combine_state(&agg, b.as_ptr(), a.as_mut_ptr());
-            assert_eq!(finalize_state(&agg, a.as_ptr()), Value::Int64(3));
-            // And the reverse: empty dst adopts src.
-            let mut c = state_for(&agg);
-            combine_state(&agg, a.as_ptr(), c.as_mut_ptr());
-            assert_eq!(finalize_state(&agg, c.as_ptr()), Value::Int64(3));
-        }
+        // State 1 is never updated; state 2 starts empty and adopts state 0.
+        let mut s = TestStates::new(&agg, 3);
+        s.update(&[0], Some(&Vector::from_i64(vec![3])));
+        s.combine(1, 0);
+        assert_eq!(s.finalize(0), Value::Int64(3));
+        s.combine(0, 2);
+        assert_eq!(s.finalize(2), Value::Int64(3));
     }
 
     #[test]
     fn min_max_date_output_type() {
         let agg = bind_aggregate(AggregateSpec::max(0), &[LogicalType::Date]).unwrap();
         assert_eq!(agg.output_type, LogicalType::Date);
-        let col = Vector::from_dates(vec![100, 300, 200]);
-        let mut s = state_for(&agg);
-        unsafe {
-            for row in 0..3 {
-                update_state(&agg, s.as_mut_ptr(), Some(&col), row);
-            }
-            assert_eq!(finalize_state(&agg, s.as_ptr()), Value::Date(300));
-        }
+        let mut s = TestStates::new(&agg, 1);
+        s.update(&[0; 3], Some(&Vector::from_dates(vec![100, 300, 200])));
+        assert_eq!(s.finalize(0), Value::Date(300));
     }
 
     #[test]
     fn float_min_handles_nan_total_order() {
         let agg = bind_aggregate(AggregateSpec::min(0), &[LogicalType::Float64]).unwrap();
-        let col = Vector::from_f64(vec![f64::NAN, 1.0]);
-        let mut s = state_for(&agg);
-        unsafe {
-            update_state(&agg, s.as_mut_ptr(), Some(&col), 0);
-            update_state(&agg, s.as_mut_ptr(), Some(&col), 1);
-            assert_eq!(finalize_state(&agg, s.as_ptr()), Value::Float64(1.0));
-        }
+        let mut s = TestStates::new(&agg, 1);
+        s.update(&[0; 2], Some(&Vector::from_f64(vec![f64::NAN, 1.0])));
+        assert_eq!(s.finalize(0), Value::Float64(1.0));
     }
 }
 
 #[cfg(test)]
 mod variance_tests {
     use super::*;
-
-    fn state_for(agg: &BoundAggregate) -> Vec<u8> {
-        vec![0u8; agg.state_size.max(1)]
-    }
+    use crate::kernel::TestStates;
+    use rexa_exec::{Value, Vector};
 
     #[test]
     fn variance_matches_two_pass() {
         let agg = bind_aggregate(AggregateSpec::var_samp(0), &[LogicalType::Float64]).unwrap();
         let vals = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
-        let col = Vector::from_f64(vals.to_vec());
-        let mut s = state_for(&agg);
-        unsafe {
-            for i in 0..vals.len() {
-                update_state(&agg, s.as_mut_ptr(), Some(&col), i);
-            }
-            let Value::Float64(v) = finalize_state(&agg, s.as_ptr()) else {
-                panic!()
-            };
-            // Two-pass sample variance of this classic dataset is 32/7.
-            assert!((v - 32.0 / 7.0).abs() < 1e-12, "{v}");
-        }
+        let mut s = TestStates::new(&agg, 1);
+        s.update(&[0; 8], Some(&Vector::from_f64(vals.to_vec())));
+        let Value::Float64(v) = s.finalize(0) else {
+            panic!()
+        };
+        // Two-pass sample variance of this classic dataset is 32/7.
+        assert!((v - 32.0 / 7.0).abs() < 1e-12, "{v}");
     }
 
     #[test]
     fn stddev_combine_equals_single_pass() {
         let agg = bind_aggregate(AggregateSpec::stddev_samp(0), &[LogicalType::Int64]).unwrap();
-        let vals: Vec<i64> = (0..1000).map(|i| (i * i) % 97).collect();
-        let col = Vector::from_i64(vals.clone());
-        // Single state over everything.
-        let mut whole = state_for(&agg);
-        // Two partial states combined.
-        let mut a = state_for(&agg);
-        let mut b = state_for(&agg);
-        unsafe {
-            for i in 0..vals.len() {
-                update_state(&agg, whole.as_mut_ptr(), Some(&col), i);
-                if i < 400 {
-                    update_state(&agg, a.as_mut_ptr(), Some(&col), i);
-                } else {
-                    update_state(&agg, b.as_mut_ptr(), Some(&col), i);
-                }
-            }
-            combine_state(&agg, b.as_ptr(), a.as_mut_ptr());
-            let Value::Float64(x) = finalize_state(&agg, whole.as_ptr()) else {
-                panic!()
-            };
-            let Value::Float64(y) = finalize_state(&agg, a.as_ptr()) else {
-                panic!()
-            };
-            assert!((x - y).abs() < 1e-9, "{x} vs {y}");
-        }
+        let col = Vector::from_i64((0..1000).map(|i| (i * i) % 97).collect());
+        // State 0 folds everything; states 1 and 2 split it at row 400 and
+        // are then combined.
+        let mut s = TestStates::new(&agg, 3);
+        s.update(&[0; 1000], Some(&col));
+        let split: Vec<usize> = (0..1000).map(|i| if i < 400 { 1 } else { 2 }).collect();
+        s.update(&split, Some(&col));
+        s.combine(2, 1);
+        let Value::Float64(x) = s.finalize(0) else {
+            panic!()
+        };
+        let Value::Float64(y) = s.finalize(1) else {
+            panic!()
+        };
+        assert!((x - y).abs() < 1e-9, "{x} vs {y}");
     }
 
     #[test]
     fn variance_of_one_value_is_null() {
         let agg = bind_aggregate(AggregateSpec::var_samp(0), &[LogicalType::Int64]).unwrap();
-        let col = Vector::from_i64(vec![42]);
-        let mut s = state_for(&agg);
-        unsafe {
-            update_state(&agg, s.as_mut_ptr(), Some(&col), 0);
-            assert_eq!(finalize_state(&agg, s.as_ptr()), Value::Null);
-        }
+        let mut s = TestStates::new(&agg, 1);
+        s.update(&[0], Some(&Vector::from_i64(vec![42])));
+        assert_eq!(s.finalize(0), Value::Null);
     }
 
     #[test]
@@ -725,20 +420,13 @@ mod variance_tests {
     #[test]
     fn combine_with_empty_side_is_identity() {
         let agg = bind_aggregate(AggregateSpec::var_samp(0), &[LogicalType::Int64]).unwrap();
-        let col = Vector::from_i64(vec![1, 2, 3]);
-        let mut a = state_for(&agg);
-        let b = state_for(&agg); // empty
-        unsafe {
-            for i in 0..3 {
-                update_state(&agg, a.as_mut_ptr(), Some(&col), i);
-            }
-            let before = finalize_state(&agg, a.as_ptr());
-            combine_state(&agg, b.as_ptr(), a.as_mut_ptr());
-            assert_eq!(finalize_state(&agg, a.as_ptr()), before);
-            // Empty dst adopting src also works.
-            let mut c = state_for(&agg);
-            combine_state(&agg, a.as_ptr(), c.as_mut_ptr());
-            assert_eq!(finalize_state(&agg, c.as_ptr()), before);
-        }
+        // State 1 stays empty; state 2 starts empty and adopts state 0.
+        let mut s = TestStates::new(&agg, 3);
+        s.update(&[0; 3], Some(&Vector::from_i64(vec![1, 2, 3])));
+        let before = s.finalize(0);
+        s.combine(1, 0);
+        assert_eq!(s.finalize(0), before);
+        s.combine(0, 2);
+        assert_eq!(s.finalize(2), before);
     }
 }

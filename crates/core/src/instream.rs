@@ -19,8 +19,9 @@
 //! inputs here when the sortedness detector (or an explicit
 //! `SortedInput::Sorted` hint) says runs are long.
 
-use crate::function::{update_state, BoundAggregate};
-use crate::operator::KernelMode;
+#![deny(clippy::undocumented_unsafe_blocks)]
+
+use crate::function::BoundAggregate;
 use rexa_exec::vector::VectorData;
 use rexa_exec::{hashing, DataChunk, Result, Vector};
 use rexa_layout::matcher::{adjacent_runs, rows_match};
@@ -89,7 +90,6 @@ impl InStreamAgg {
         &mut self,
         layout: &Arc<TupleDataLayout>,
         state_aggs: &[BoundAggregate],
-        mode: KernelMode,
         chunk: &DataChunk,
         group_views: &[&Vector],
         layout_views: &[&Vector],
@@ -173,28 +173,13 @@ impl InStreamAgg {
         debug_assert_eq!(new_i, self.run_sel.len());
 
         // Accumulate in input order — the same per-row order as the hash
-        // paths, so single-thread results stay bit-identical to the scalar
-        // oracle.
-        match mode {
-            KernelMode::Scalar => {
-                for (sidx, agg) in state_aggs.iter().enumerate() {
-                    let arg = agg.spec.arg.map(|c| chunk.column(c));
-                    let off = layout.aggr_offset(sidx);
-                    for i in 0..n {
-                        // SAFETY: every target row is on a page this worker
-                        // holds append pins for; states are in-row.
-                        unsafe { update_state(agg, self.row_ptrs[i].add(off), arg, i) };
-                    }
-                }
-            }
-            KernelMode::Vectorized => {
-                for (sidx, agg) in state_aggs.iter().enumerate() {
-                    let arg = agg.spec.arg.map(|c| chunk.column(c));
-                    let off = layout.aggr_offset(sidx);
-                    // SAFETY: as above.
-                    unsafe { (agg.kernels.update)(&self.row_ptrs[..n], off, arg) };
-                }
-            }
+        // path, so single-thread results stay bit-identical to it.
+        for (sidx, agg) in state_aggs.iter().enumerate() {
+            let arg = agg.spec.arg.map(|c| chunk.column(c));
+            let off = layout.aggr_offset(sidx);
+            // SAFETY: every target row is on a page this worker holds
+            // append pins for; states are in-row at `off`.
+            unsafe { (agg.kernels.update)(&self.row_ptrs[..n], off, arg) };
         }
         Ok(())
     }

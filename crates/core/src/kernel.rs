@@ -1,11 +1,11 @@
-//! Monomorphized, selection-driven aggregate kernels.
+//! Monomorphized, selection-driven aggregate kernels: the one
+//! implementation of the aggregate semantics.
 //!
-//! [`crate::function::update_state`] and friends interpret the aggregate
-//! once per *row*: a `match` on `AggKind` plus a `match` on the input's
-//! physical type for every single input tuple. That interpretive overhead —
-//! not the external-memory machinery — dominates aggregation throughput once
-//! the working set is cache-resident, so the hot path resolves each bound
-//! aggregate to three function pointers **at bind time** instead:
+//! Interpreting an aggregate once per *row* — a `match` on `AggKind` plus a
+//! `match` on the input's physical type for every input tuple — would
+//! dominate aggregation throughput once the working set is cache-resident,
+//! so each bound aggregate resolves to three function pointers **at bind
+//! time** instead:
 //!
 //! * [`UpdateFn`] folds a whole chunk of input rows into their target
 //!   states in one call (row `k` folds into `rows[k] + off`),
@@ -19,17 +19,21 @@
 //! on [`Validity::no_nulls`] to skip the per-row validity test on NULL-free
 //! vectors (the common case).
 //!
-//! The per-row functions in [`crate::function`] are deliberately retained:
-//! they are the reference oracle. Differential tests (unit tests here, a
-//! proptest in `tests/differential.rs`, and `KernelMode::Scalar` on the full
-//! operator) check the kernels bit-identical against them — every kernel
-//! mirrors the oracle's exact operation order so float results match to the
-//! last ulp.
+//! Every caller — the operator's hash and in-stream phase 1, its phase-2
+//! combine and finalize, [`crate::ungrouped`] and the in-memory baseline —
+//! goes through these kernels. Their independent oracle is
+//! [`crate::simple`]: the unit tests here check each state against
+//! `RefState`, and the differential tests check whole runs against
+//! `reference_aggregate`.
+
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 use crate::function::AggKind;
 #[cfg(test)]
 use crate::function::BoundAggregate;
 use rexa_exec::vector::VectorData;
+#[cfg(test)]
+use rexa_exec::Value;
 use rexa_exec::{LogicalType, Validity, Vector};
 
 /// Vectorized update: fold input row `k` of `col` into the state at
@@ -98,8 +102,7 @@ unsafe fn write_f64(p: *mut u8, v: f64) {
     std::ptr::write_unaligned(p as *mut f64, v);
 }
 
-/// Min/Max state: `[u64 seen][8-byte value]` — must match
-/// `crate::function`'s layout.
+/// Min/Max state: `[u64 seen][8-byte value]`.
 const MM_VALUE: usize = 8;
 
 /// A fixed-width input column type a kernel can be monomorphized over.
@@ -484,11 +487,7 @@ unsafe fn finalize_any_value(_states: &[*const u8]) -> Vector {
 /// Resolve the monomorphized kernels of a validated aggregate. Called from
 /// `bind_aggregate` after type checking, so every reachable combination is
 /// covered; anything else is a bind-layer bug.
-pub fn resolve(
-    kind: AggKind,
-    arg_type: Option<LogicalType>,
-    output_type: LogicalType,
-) -> AggKernels {
+pub fn resolve(kind: AggKind, arg_type: Option<LogicalType>) -> AggKernels {
     use LogicalType as T;
     let (update, combine, finalize): (UpdateFn, CombineFn, FinalizeFn) = match (kind, arg_type) {
         (AggKind::CountStar, _) => (update_count_star, combine_add_i64, finalize_i64),
@@ -566,7 +565,6 @@ pub fn resolve(
         (AggKind::AnyValue, _) => (update_any_value, combine_any_value, finalize_any_value),
         (k, t) => unreachable!("bind accepted {k:?} over {t:?} but no kernel exists"),
     };
-    let _ = output_type; // types are fully determined by (kind, arg_type)
     AggKernels {
         update,
         combine,
@@ -574,23 +572,65 @@ pub fn resolve(
     }
 }
 
-/// Run `agg`'s update kernel over every row of `col`, with the state at the
-/// start of each row (`off = 0`) — convenience for tests.
-///
-/// # Safety
-/// As for [`UpdateFn`].
+/// A safe harness over one bound aggregate's kernels for unit tests: a set
+/// of zeroed states, updates that fan input rows out over them, pairwise
+/// combine, and finalize. Every bounds and aliasing condition the kernels
+/// rely on is checked here, so the tests themselves need no `unsafe`.
 #[cfg(test)]
-unsafe fn update_all(agg: &BoundAggregate, states: &[*mut u8], col: Option<&Vector>) {
-    (agg.kernels.update)(states, 0, col);
+pub(crate) struct TestStates<'a> {
+    agg: &'a BoundAggregate,
+    states: Vec<Vec<u8>>,
+}
+
+#[cfg(test)]
+impl<'a> TestStates<'a> {
+    /// `count` zeroed states of `agg` (which must have a state).
+    pub(crate) fn new(agg: &'a BoundAggregate, count: usize) -> Self {
+        assert!(agg.state_size > 0, "{:?} has no state", agg.spec);
+        TestStates {
+            agg,
+            states: vec![vec![0u8; agg.state_size]; count],
+        }
+    }
+
+    /// Fold input row `k` of `col` into state `targets[k]`, for every `k`.
+    pub(crate) fn update(&mut self, targets: &[usize], col: Option<&Vector>) {
+        assert_eq!(col.is_some(), self.agg.spec.arg.is_some());
+        if let Some(col) = col {
+            assert_eq!(col.len(), targets.len());
+        }
+        let rows: Vec<*mut u8> = targets
+            .iter()
+            .map(|&t| self.states[t].as_mut_ptr())
+            .collect();
+        // SAFETY: one pointer per input row, each to a live state of this
+        // aggregate (zero-initialized, changed only by its kernels).
+        unsafe { (self.agg.kernels.update)(&rows, 0, col) };
+    }
+
+    /// Merge state `src` into state `dst`.
+    pub(crate) fn combine(&mut self, src: usize, dst: usize) {
+        assert_ne!(src, dst);
+        let src = self.states[src].as_ptr();
+        let dst = self.states[dst].as_mut_ptr();
+        // SAFETY: two distinct live states of this aggregate.
+        unsafe { (self.agg.kernels.combine)(&[(src, dst)]) };
+    }
+
+    /// The final value of state `i`.
+    pub(crate) fn finalize(&self, i: usize) -> Value {
+        // SAFETY: a live state of this aggregate.
+        let out = unsafe { (self.agg.kernels.finalize)(&[self.states[i].as_ptr()]) };
+        assert_eq!(out.logical_type(), self.agg.output_type);
+        out.value(0)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::function::{
-        bind_aggregate, combine_state, finalize_state, update_state, AggregateSpec,
-    };
-    use rexa_exec::Value;
+    use crate::function::{bind_aggregate, AggregateSpec};
+    use crate::simple::RefState;
 
     /// Every bindable (spec, input type) combination with a state.
     fn all_stateful() -> Vec<(AggregateSpec, LogicalType)> {
@@ -648,83 +688,87 @@ mod tests {
         Vector::from_values(ty, &vals).unwrap()
     }
 
-    fn bits(v: &Value) -> u64 {
-        match v {
-            Value::Float64(f) => f.to_bits(),
-            Value::Int64(i) => *i as u64,
-            Value::Int32(i) | Value::Date(i) => *i as u64,
-            Value::Null => u64::MAX - 1,
-            other => panic!("unexpected value {other:?}"),
+    /// The oracle's states for `targets` (row `k` folds into state
+    /// `targets[k]`), mirroring [`TestStates::update`].
+    fn reference_states(
+        spec: AggregateSpec,
+        ty: LogicalType,
+        count: usize,
+        targets: &[usize],
+        col: Option<&Vector>,
+    ) -> Vec<RefState> {
+        let mut states = vec![RefState::new(spec.kind, spec.arg.map(|_| ty)); count];
+        for (row, &t) in targets.iter().enumerate() {
+            states[t].update(spec.kind, col.map(|c| c.value(row)).as_ref());
+        }
+        states
+    }
+
+    /// Kernel result vs oracle result. Bit-identical, except where the two
+    /// legitimately compute differently: Welford vs two-pass variance, and
+    /// float sums after `combine` re-associated them (`exact == false`).
+    fn assert_agrees(kernel: &Value, oracle: &Value, exact: bool, what: &str) {
+        match (kernel, oracle) {
+            (Value::Float64(a), Value::Float64(b)) if !exact => assert!(
+                (a.is_nan() && b.is_nan()) || (a - b).abs() <= 1e-9 * (1.0 + a.abs().max(b.abs())),
+                "{what}: {a} vs {b}"
+            ),
+            _ => assert!(
+                kernel.total_cmp(oracle).is_eq(),
+                "{what}: {kernel:?} vs {oracle:?}"
+            ),
         }
     }
 
-    /// Update / combine / finalize through the kernels must be bit-identical
-    /// to the scalar oracle for every aggregate, with rows fanned out over
-    /// several states in both paths.
+    fn is_welford(spec: AggregateSpec) -> bool {
+        matches!(spec.kind, AggKind::VarSamp | AggKind::StdDevSamp)
+    }
+
+    /// Update, combine and finalize through the kernels must agree with the
+    /// reference states of `simple::RefState` for every aggregate, with
+    /// rows fanned out over several states.
     #[test]
-    fn kernels_match_scalar_oracle_bitwise() {
+    fn kernels_match_reference_states_bitwise() {
         const ROWS: usize = 257;
         const GROUPS: usize = 7;
         for (spec, ty) in all_stateful() {
             let agg = bind_aggregate(spec, &[ty]).unwrap();
             let col = test_column(ty, ROWS);
-            let arg = if spec.arg.is_some() { Some(&col) } else { None };
+            let arg = spec.arg.map(|_| &col);
+            let targets: Vec<usize> = (0..ROWS).map(|row| row % GROUPS).collect();
 
-            // Scalar oracle: per-row updates into GROUPS states.
-            let mut oracle = vec![vec![0u8; agg.state_size.max(1)]; GROUPS];
-            unsafe {
-                for row in 0..ROWS {
-                    update_state(&agg, oracle[row % GROUPS].as_mut_ptr(), arg, row);
-                }
+            // Per-state update: each state folds its rows in input order on
+            // both sides, so everything but Welford is bit-identical.
+            let mut states = TestStates::new(&agg, GROUPS);
+            states.update(&targets, arg);
+            let oracle = reference_states(spec, ty, GROUPS, &targets, arg);
+            for (g, want) in oracle.into_iter().enumerate() {
+                let what = format!("update: {spec:?} over {ty}, state {g}");
+                assert_agrees(
+                    &states.finalize(g),
+                    &want.finalize(),
+                    !is_welford(spec),
+                    &what,
+                );
             }
 
-            // Kernel path: one call with the same row -> state fan-out.
-            let mut vec_states = vec![vec![0u8; agg.state_size.max(1)]; GROUPS];
-            unsafe {
-                let ptrs: Vec<*mut u8> = (0..ROWS)
-                    .map(|row| vec_states[row % GROUPS].as_mut_ptr())
-                    .collect();
-                update_all(&agg, &ptrs, arg);
+            // Combine everything into state 0; the oracle folds all rows
+            // into one state.
+            for g in 1..GROUPS {
+                states.combine(g, 0);
             }
-            assert_eq!(oracle, vec_states, "update diverged: {spec:?} over {ty}");
-
-            // Combine all states down pairwise, both paths.
-            unsafe {
-                let dst = vec_states[0].as_mut_ptr();
-                let pairs: Vec<(*const u8, *mut u8)> =
-                    (1..GROUPS).map(|g| (vec_states[g].as_ptr(), dst)).collect();
-                (agg.kernels.combine)(&pairs);
-                for g in 1..GROUPS {
-                    let src = oracle[g].as_ptr();
-                    combine_state(&agg, src, oracle[0].as_mut_ptr());
-                }
-            }
-            assert_eq!(
-                oracle[0], vec_states[0],
-                "combine diverged: {spec:?} over {ty}"
-            );
-
-            // Finalize every state, kernel vs oracle, bitwise.
-            unsafe {
-                let ptrs: Vec<*const u8> = vec_states.iter().map(|s| s.as_ptr()).collect();
-                let out = (agg.kernels.finalize)(&ptrs);
-                assert_eq!(out.len(), GROUPS);
-                assert_eq!(out.logical_type(), agg.output_type, "{spec:?} over {ty}");
-                for (g, state) in oracle.iter().enumerate().take(GROUPS) {
-                    let expect = finalize_state(&agg, state.as_ptr());
-                    let got = out.value(g);
-                    assert_eq!(
-                        bits(&expect),
-                        bits(&got),
-                        "finalize diverged: {spec:?} over {ty}, state {g}: {expect:?} vs {got:?}"
-                    );
-                }
-            }
+            let whole = reference_states(spec, ty, 1, &vec![0; ROWS], arg);
+            let reassociated = agg.output_type == LogicalType::Float64
+                && matches!(spec.kind, AggKind::Sum | AggKind::Avg);
+            let what = format!("combine: {spec:?} over {ty}");
+            let exact = !is_welford(spec) && !reassociated;
+            let want = whole.into_iter().next().unwrap().finalize();
+            assert_agrees(&states.finalize(0), &want, exact, &what);
         }
     }
 
-    /// An all-NULL input column must leave states untouched on both paths
-    /// and finalize to the same (often NULL) outputs.
+    /// An all-NULL input column must leave states empty and finalize to the
+    /// oracle's (mostly NULL) outputs.
     #[test]
     fn kernels_match_oracle_on_all_null_input() {
         for (spec, ty) in all_stateful() {
@@ -733,24 +777,16 @@ mod tests {
             }
             let agg = bind_aggregate(spec, &[ty]).unwrap();
             let col = Vector::from_values(ty, &vec![Value::Null; 9]).unwrap();
-            let mut oracle = vec![0u8; agg.state_size.max(1)];
-            let mut state = vec![0u8; agg.state_size.max(1)];
-            unsafe {
-                for row in 0..9 {
-                    update_state(&agg, oracle.as_mut_ptr(), Some(&col), row);
-                }
-                let ptrs: Vec<*mut u8> = (0..9).map(|_| state.as_mut_ptr()).collect();
-                update_all(&agg, &ptrs, Some(&col));
-                assert_eq!(oracle, state, "{spec:?} over {ty}");
-                let out = (agg.kernels.finalize)(&[state.as_ptr()]);
-                let expect = finalize_state(&agg, oracle.as_ptr());
-                assert_eq!(
-                    bits(&expect),
-                    bits(&out.value(0)),
-                    "{spec:?} over {ty}: {expect:?} vs {:?}",
-                    out.value(0)
-                );
-            }
+            let mut states = TestStates::new(&agg, 1);
+            states.update(&[0; 9], Some(&col));
+            let want = reference_states(spec, ty, 1, &[0; 9], Some(&col));
+            let want = want.into_iter().next().unwrap().finalize();
+            assert_agrees(
+                &states.finalize(0),
+                &want,
+                true,
+                &format!("{spec:?} over {ty}"),
+            );
         }
     }
 

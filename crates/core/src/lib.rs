@@ -39,7 +39,7 @@ pub use join::{hash_join_collect, hash_join_streaming, HashJoinPlan, JoinConfig,
 pub use kernel::AggKernels;
 pub use operator::{
     hash_aggregate_collect, hash_aggregate_streaming, hash_aggregate_streaming_ctx, output_schema,
-    plan_row_width, AggregateConfig, HashAggregatePlan, KernelMode, RunStats, SortedInput,
+    plan_row_width, AggregateConfig, HashAggregatePlan, RunStats, SortedInput,
 };
 pub use ungrouped::ungrouped_aggregate;
 

@@ -21,10 +21,7 @@
 //! states of duplicate groups in place, and streams the surviving groups to
 //! the consumer — after which the partition's pages are destroyed eagerly.
 
-use crate::function::{
-    bind_aggregate, combine_state, finalize_state, update_state, AggKind, AggregateSpec,
-    BoundAggregate,
-};
+use crate::function::{bind_aggregate, AggKind, AggregateSpec, BoundAggregate};
 use crate::ht::{
     entry_ptr, is_pending, make_entry, make_pending, pending_ord, prefetch_read, salt_bits,
     SaltedHashTable,
@@ -36,9 +33,7 @@ use rexa_exec::pipeline::ChunkSource;
 use rexa_exec::pool::ExecContext;
 use rexa_exec::vector::VectorData;
 use rexa_exec::{hashing, DataChunk, Error, LogicalType, Result, Vector, VECTOR_SIZE};
-use rexa_layout::matcher::{
-    adjacent_runs, row_row_match, row_row_match_sel, rows_match, rows_match_sel,
-};
+use rexa_layout::matcher::{adjacent_runs, row_row_match_sel, rows_match_sel};
 use rexa_layout::{PartitionedTupleData, TupleDataCollection, TupleDataLayout};
 use rexa_obs::span::{self, cat as span_cat};
 use rexa_obs::{Phase, ProfileCollector, QueryProfile, SpanBuffer};
@@ -54,23 +49,6 @@ pub struct HashAggregatePlan {
     pub group_cols: Vec<usize>,
     /// The aggregates, in output order.
     pub aggregates: Vec<AggregateSpec>,
-}
-
-/// Which implementation of the aggregation hot path to run.
-///
-/// Both modes produce bit-identical results at `threads: 1` (the vectorized
-/// path preserves the scalar path's probe, update, and combine orders
-/// exactly); with more threads, floating-point results may differ across
-/// runs in *either* mode because partition combine order is scheduling-
-/// dependent. `Scalar` is retained as the reference oracle for differential
-/// tests and the baseline for `BENCH_agg.json` (see DESIGN.md S16).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum KernelMode {
-    /// Selection-vector probing + monomorphized kernels (the default).
-    #[default]
-    Vectorized,
-    /// The original row-at-a-time interpreted path.
-    Scalar,
 }
 
 /// Whether the grouping keys arrive (mostly) sorted, which routes phase 1
@@ -113,9 +91,6 @@ pub struct AggregateConfig {
     /// experimentally determined value is two-thirds (66); exposed for the
     /// reset-threshold ablation benchmark.
     pub reset_fill_percent: u32,
-    /// Hot-path implementation (vectorized by default; scalar oracle for
-    /// differential testing and benchmarking).
-    pub kernel_mode: KernelMode,
     /// Partitions beyond the merge frontier whose spilled pages phase 2
     /// prefetches in the background (0 disables read-ahead). Only effective
     /// when the buffer manager runs background I/O workers
@@ -138,7 +113,6 @@ impl Default for AggregateConfig {
             ht_capacity: 1 << 17,
             output_chunk_size: VECTOR_SIZE,
             reset_fill_percent: 66,
-            kernel_mode: KernelMode::Vectorized,
             readahead_depth: 2,
             sorted_input: SortedInput::Detect,
         }
@@ -320,7 +294,6 @@ impl AggSink<'_> {
             sink: self,
             ht: SaltedHashTable::with_capacity_ctx(self.mgr, self.config.ht_capacity, self.ctx)?,
             data: PartitionedTupleData::new(self.mgr, &self.plan.layout, self.radix_bits),
-            targets: Vec::new(),
             hashes: Vec::new(),
             new_sel: Vec::new(),
             pending_slots: Vec::new(),
@@ -403,9 +376,6 @@ struct LocalAgg<'a> {
     sink: &'a AggSink<'a>,
     ht: SaltedHashTable,
     data: PartitionedTupleData,
-    /// Per-row resolution of the current chunk (scalar probe only): an
-    /// entry-encoded value — pending flag + ordinal, or a row pointer.
-    targets: Vec<u64>,
     hashes: Vec<u64>,
     new_sel: Vec<u32>,
     pending_slots: Vec<usize>,
@@ -427,47 +397,6 @@ impl LocalAgg<'_> {
         self.ht.count() * 100 >= self.ht.capacity() * self.sink.config.reset_fill_percent as usize
     }
 
-    /// Row-at-a-time probe (the reference oracle, `KernelMode::Scalar`):
-    /// resolve each input row fully before moving to the next.
-    fn probe_scalar(&mut self, group_views: &[&Vector], n: usize) {
-        let plan = self.sink.plan;
-        for i in 0..n {
-            let h = self.hashes[i];
-            let mut slot = self.ht.slot(h);
-            loop {
-                let e = self.ht.entry(slot);
-                if e == 0 {
-                    let ord = self.new_sel.len();
-                    self.ht.set_entry(slot, make_pending(h, ord), true);
-                    self.pending_slots.push(slot);
-                    self.new_sel.push(i as u32);
-                    self.targets.push(make_pending(h, ord));
-                    break;
-                }
-                if salt_bits(e) == salt_bits(h) {
-                    if is_pending(e) {
-                        // A group discovered earlier in this same chunk.
-                        let ord = pending_ord(e);
-                        let j = self.new_sel[ord] as usize;
-                        if input_rows_equal(group_views, i, j) {
-                            self.targets.push(e);
-                            break;
-                        }
-                    } else {
-                        let row = entry_ptr(e);
-                        // SAFETY: rows referenced by live entries are on
-                        // pages pinned since the last reset.
-                        if unsafe { rows_match(&plan.layout, group_views, i, row) } {
-                            self.targets.push(e);
-                            break;
-                        }
-                    }
-                }
-                slot = self.ht.next_slot(slot);
-            }
-        }
-    }
-
     /// Selection-vector probe: all rows advance through the table in
     /// lockstep rounds, and the expensive full-key comparison of the
     /// salt-matched candidates is batched by column ([`rows_match_sel`]).
@@ -478,10 +407,10 @@ impl LocalAgg<'_> {
     /// The `remaining` selection is kept in ascending row order across
     /// rounds (ordered merge of the stage-1 advances and the key-compare
     /// failures), which makes the claim order of new groups — and therefore
-    /// every downstream combine order — identical to [`Self::probe_scalar`]:
-    /// rows probing the same slot sequence stay sorted, so the earliest
-    /// occurrence of a key always claims its entry first, exactly like the
-    /// scalar loop that resolves row `i` before ever looking at row `i + 1`.
+    /// every downstream combine order — input order: rows probing the same
+    /// slot sequence stay sorted, so the earliest occurrence of a key always
+    /// claims its entry first, as if row `i` were resolved before row
+    /// `i + 1` was looked at.
     fn probe_vectorized(&mut self, group_views: &[&Vector], n: usize) {
         let plan = self.sink.plan;
         let s = &mut self.scratch;
@@ -610,7 +539,7 @@ impl LocalAgg<'_> {
     /// runs inline in stage 1 instead of going through the candidate
     /// buffers and the by-column matcher — no per-round compare pass, no
     /// merge (the single failure list is already ascending, preserving the
-    /// claim-order equivalence with the scalar oracle).
+    /// input-order claims).
     ///
     /// Expects the common probe state (`slots`, `row_ptrs`, `pending_rows`,
     /// `remaining`) initialized by the caller. A materialized row can still
@@ -735,7 +664,6 @@ impl LocalAgg<'_> {
         let res = is.sink_chunk(
             &plan.layout,
             &plan.state_aggs,
-            self.sink.config.kernel_mode,
             chunk,
             group_views,
             &layout_views,
@@ -769,16 +697,11 @@ impl LocalAgg<'_> {
     /// Thread-local chunk path (the paper's design).
     fn sink_local(&mut self, chunk: &DataChunk, group_views: &[&Vector], n: usize) -> Result<()> {
         let plan = self.sink.plan;
-        let mode = self.sink.config.kernel_mode;
         // Probe: resolve every input row to an existing row pointer or a
         // pending new-group ordinal.
-        self.targets.clear();
         self.new_sel.clear();
         self.pending_slots.clear();
-        match mode {
-            KernelMode::Scalar => self.probe_scalar(group_views, n),
-            KernelMode::Vectorized => self.probe_vectorized(group_views, n),
-        }
+        self.probe_vectorized(group_views, n);
 
         // Materialize the new groups directly into radix partitions
         // (column-major -> row-major conversion happens here, once).
@@ -803,43 +726,22 @@ impl LocalAgg<'_> {
                     .set_entry(slot, make_entry(h, self.scratch.new_ptrs[ord]), false);
             }
         }
-        // Update aggregate states for every input row.
+        // Update aggregate states for every input row: patch the tagged
+        // new-group rows to their materialized pointers (O(new groups'
+        // occurrences), not O(n)), then one monomorphized kernel call per
+        // aggregate over the chunk.
         let s = &mut self.scratch;
-        match mode {
-            KernelMode::Scalar => {
-                for (sidx, agg) in plan.state_aggs.iter().enumerate() {
-                    let arg = agg.spec.arg.map(|c| chunk.column(c));
-                    let off = plan.layout.aggr_offset(sidx);
-                    for i in 0..n {
-                        let t = self.targets[i];
-                        let row = if is_pending(t) {
-                            s.new_ptrs[pending_ord(t)]
-                        } else {
-                            entry_ptr(t)
-                        };
-                        // SAFETY: row points into a pinned page; states are
-                        // in-row.
-                        unsafe { update_state(agg, row.add(off), arg, i) };
-                    }
-                }
-            }
-            KernelMode::Vectorized => {
-                // Patch the tagged new-group rows to their materialized
-                // pointers (O(new groups' occurrences), not O(n)), then one
-                // monomorphized kernel call per aggregate over the chunk.
-                for &r in &s.pending_rows {
-                    let i = r as usize;
-                    let ord = (s.row_ptrs[i] as u64 & !PENDING_PTR_TAG) as usize;
-                    s.row_ptrs[i] = s.new_ptrs[ord];
-                }
-                for (sidx, agg) in plan.state_aggs.iter().enumerate() {
-                    let arg = agg.spec.arg.map(|c| chunk.column(c));
-                    let off = plan.layout.aggr_offset(sidx);
-                    // SAFETY: every row pointer targets a row on a pinned
-                    // page with the aggregate's state at `off`.
-                    unsafe { (agg.kernels.update)(&s.row_ptrs[..n], off, arg) };
-                }
-            }
+        for &r in &s.pending_rows {
+            let i = r as usize;
+            let ord = (s.row_ptrs[i] as u64 & !PENDING_PTR_TAG) as usize;
+            s.row_ptrs[i] = s.new_ptrs[ord];
+        }
+        for (sidx, agg) in plan.state_aggs.iter().enumerate() {
+            let arg = agg.spec.arg.map(|c| chunk.column(c));
+            let off = plan.layout.aggr_offset(sidx);
+            // SAFETY: every row pointer targets a row on a pinned page with
+            // the aggregate's state at `off`.
+            unsafe { (agg.kernels.update)(&s.row_ptrs[..n], off, arg) };
         }
 
         // Reset when two-thirds full: clear the entry array (cheap), unpin
@@ -888,7 +790,7 @@ fn finalize_partition(
 
     let mut live: Vec<*mut u8> = Vec::new();
     let mut ptrs: Vec<*mut u8> = Vec::new();
-    finalize_hash_dedup(plan, mgr, config, ctx, &part, &pins, &mut live, &mut ptrs)?;
+    finalize_hash_dedup(plan, mgr, ctx, &part, &pins, &mut live, &mut ptrs)?;
 
     // Emit the surviving groups ("fully aggregated partitions are
     // immediately scanned" — pushed to the consumer, then freed).
@@ -905,26 +807,13 @@ fn finalize_partition(
                 OutSlot::State(s) => {
                     let agg = &plan.state_aggs[*s];
                     let off = layout.aggr_offset(*s);
-                    match config.kernel_mode {
-                        KernelMode::Scalar => {
-                            let mut col = Vector::empty(agg.output_type);
-                            for &row in batch {
-                                // SAFETY: as above.
-                                let v = unsafe { finalize_state(agg, row.add(off)) };
-                                col.push_value(&v)?;
-                            }
-                            columns.push(col);
-                        }
-                        KernelMode::Vectorized => {
-                            let states: Vec<*const u8> = batch
-                                .iter()
-                                .map(|&row| unsafe { row.add(off) as *const u8 })
-                                .collect();
-                            // SAFETY: as above; the kernel writes the output
-                            // vector directly, skipping boxed Values.
-                            columns.push(unsafe { (agg.kernels.finalize)(&states) });
-                        }
-                    }
+                    let states: Vec<*const u8> = batch
+                        .iter()
+                        .map(|&row| unsafe { row.add(off) as *const u8 })
+                        .collect();
+                    // SAFETY: as above; the kernel writes the output vector
+                    // directly, skipping boxed Values.
+                    columns.push(unsafe { (agg.kernels.finalize)(&states) });
                 }
             }
         }
@@ -953,11 +842,9 @@ fn finalize_partition(
 
 /// Phase-2 hash dedup: rebuild a partition-local probe table over the
 /// pinned rows, combining duplicate groups by key.
-#[allow(clippy::too_many_arguments)]
 fn finalize_hash_dedup(
     plan: &BoundPlan,
     mgr: &Arc<BufferManager>,
-    config: &AggregateConfig,
     ctx: &ExecContext,
     part: &TupleDataCollection,
     pins: &rexa_layout::CollectionPins,
@@ -967,157 +854,119 @@ fn finalize_hash_dedup(
     let layout = &plan.layout;
     let cap = (part.rows() * 2).next_power_of_two().max(1024);
     let mut ht = SaltedHashTable::with_capacity_ctx(mgr, cap, ctx)?;
-    match config.kernel_mode {
-        KernelMode::Scalar => {
-            for c in 0..part.chunk_count() {
-                ctx.check_cancelled()?;
-                ptrs.clear();
-                part.chunk_row_ptrs(pins, c, ptrs);
-                for &row in ptrs.iter() {
-                    // SAFETY: the partition is pinned and pointer-recomputed.
-                    let h = unsafe { layout.read_hash(row) };
-                    let mut slot = ht.slot(h);
-                    loop {
-                        let e = ht.entry(slot);
-                        if e == 0 {
-                            ht.set_entry(slot, make_entry(h, row), true);
-                            live.push(row);
-                            break;
-                        }
-                        if salt_bits(e) == salt_bits(h) {
-                            let existing = entry_ptr(e);
-                            // SAFETY: both rows live on pinned pages.
-                            if unsafe { row_row_match(layout, plan.key_cols, existing, row) } {
-                                for (sidx, agg) in plan.state_aggs.iter().enumerate() {
-                                    let off = layout.aggr_offset(sidx);
-                                    // SAFETY: states are inside the rows.
-                                    unsafe { combine_state(agg, row.add(off), existing.add(off)) };
-                                }
-                                break;
-                            }
-                        }
-                        slot = ht.next_slot(slot);
-                    }
+    // Selection-vector insertion: resolve every row of a chunk to its
+    // surviving group row first (claiming new entries along the way), then
+    // run one combine kernel per aggregate over the duplicates. Combines
+    // stay in chunk-row order, so per-group float results do not depend on
+    // the batching.
+    let mut hashes: Vec<u64> = Vec::new();
+    let mut slots: Vec<usize> = Vec::new();
+    let mut targets: Vec<*mut u8> = Vec::new();
+    let mut remaining: Vec<u32> = Vec::new();
+    let mut next_remaining: Vec<u32> = Vec::new();
+    let mut stage1_fail: Vec<u32> = Vec::new();
+    let mut cand_rows: Vec<u32> = Vec::new();
+    let mut cand_existing: Vec<*const u8> = Vec::new();
+    let mut cand_new: Vec<*const u8> = Vec::new();
+    let mut matched: Vec<u32> = Vec::new();
+    let mut no_match: Vec<u32> = Vec::new();
+    let mut pairs: Vec<(*const u8, *mut u8)> = Vec::new();
+    let mut state_pairs: Vec<(*const u8, *mut u8)> = Vec::new();
+    for c in 0..part.chunk_count() {
+        ctx.check_cancelled()?;
+        ptrs.clear();
+        part.chunk_row_ptrs(pins, c, ptrs);
+        let m = ptrs.len();
+        // SAFETY: the partition is pinned and pointer-recomputed.
+        hashes.clear();
+        hashes.extend(ptrs.iter().map(|&row| unsafe { layout.read_hash(row) }));
+        slots.clear();
+        slots.extend(hashes.iter().map(|&h| ht.slot(h)));
+        targets.clear();
+        targets.resize(m, std::ptr::null_mut());
+        remaining.clear();
+        remaining.extend(0..m as u32);
+        while !remaining.is_empty() {
+            stage1_fail.clear();
+            cand_rows.clear();
+            cand_existing.clear();
+            cand_new.clear();
+            for &r in &remaining {
+                let i = r as usize;
+                let row = ptrs[i];
+                let h = hashes[i];
+                let slot = slots[i];
+                let e = ht.entry(slot);
+                if e == 0 {
+                    ht.set_entry(slot, make_entry(h, row), true);
+                    live.push(row);
+                    targets[i] = row; // survives as its own group
+                    continue;
+                }
+                if salt_bits(e) == salt_bits(h) {
+                    cand_rows.push(r);
+                    cand_existing.push(entry_ptr(e));
+                    cand_new.push(row);
+                    continue;
+                }
+                slots[i] = ht.next_slot(slot);
+                stage1_fail.push(r);
+            }
+            // SAFETY: all candidate rows live on pinned pages.
+            unsafe {
+                row_row_match_sel(
+                    layout,
+                    plan.key_cols,
+                    &cand_existing,
+                    &cand_new,
+                    &mut matched,
+                    &mut no_match,
+                );
+            }
+            for &p in &matched {
+                targets[cand_rows[p as usize] as usize] = cand_existing[p as usize] as *mut u8;
+            }
+            for &p in &no_match {
+                let i = cand_rows[p as usize] as usize;
+                slots[i] = ht.next_slot(slots[i]);
+            }
+            // Ordered merge keeps `remaining` ascending, mirroring
+            // the phase-1 probe.
+            next_remaining.clear();
+            let (mut ai, mut bi) = (0, 0);
+            while ai < stage1_fail.len() && bi < no_match.len() {
+                let br = cand_rows[no_match[bi] as usize];
+                if stage1_fail[ai] < br {
+                    next_remaining.push(stage1_fail[ai]);
+                    ai += 1;
+                } else {
+                    next_remaining.push(br);
+                    bi += 1;
                 }
             }
+            next_remaining.extend_from_slice(&stage1_fail[ai..]);
+            next_remaining.extend(no_match[bi..].iter().map(|&p| cand_rows[p as usize]));
+            std::mem::swap(&mut remaining, &mut next_remaining);
         }
-        KernelMode::Vectorized => {
-            // Selection-vector insertion: resolve every row of a chunk to
-            // its surviving group row first (claiming new entries along the
-            // way), then run one combine kernel per aggregate over the
-            // duplicates. Combines stay in chunk-row order, so per-group
-            // float results are bit-identical to the scalar loop.
-            let mut hashes: Vec<u64> = Vec::new();
-            let mut slots: Vec<usize> = Vec::new();
-            let mut targets: Vec<*mut u8> = Vec::new();
-            let mut remaining: Vec<u32> = Vec::new();
-            let mut next_remaining: Vec<u32> = Vec::new();
-            let mut stage1_fail: Vec<u32> = Vec::new();
-            let mut cand_rows: Vec<u32> = Vec::new();
-            let mut cand_existing: Vec<*const u8> = Vec::new();
-            let mut cand_new: Vec<*const u8> = Vec::new();
-            let mut matched: Vec<u32> = Vec::new();
-            let mut no_match: Vec<u32> = Vec::new();
-            let mut pairs: Vec<(*const u8, *mut u8)> = Vec::new();
-            let mut state_pairs: Vec<(*const u8, *mut u8)> = Vec::new();
-            for c in 0..part.chunk_count() {
-                ctx.check_cancelled()?;
-                ptrs.clear();
-                part.chunk_row_ptrs(pins, c, ptrs);
-                let m = ptrs.len();
-                // SAFETY: the partition is pinned and pointer-recomputed.
-                hashes.clear();
-                hashes.extend(ptrs.iter().map(|&row| unsafe { layout.read_hash(row) }));
-                slots.clear();
-                slots.extend(hashes.iter().map(|&h| ht.slot(h)));
-                targets.clear();
-                targets.resize(m, std::ptr::null_mut());
-                remaining.clear();
-                remaining.extend(0..m as u32);
-                while !remaining.is_empty() {
-                    stage1_fail.clear();
-                    cand_rows.clear();
-                    cand_existing.clear();
-                    cand_new.clear();
-                    for &r in &remaining {
-                        let i = r as usize;
-                        let row = ptrs[i];
-                        let h = hashes[i];
-                        let slot = slots[i];
-                        let e = ht.entry(slot);
-                        if e == 0 {
-                            ht.set_entry(slot, make_entry(h, row), true);
-                            live.push(row);
-                            targets[i] = row; // survives as its own group
-                            continue;
-                        }
-                        if salt_bits(e) == salt_bits(h) {
-                            cand_rows.push(r);
-                            cand_existing.push(entry_ptr(e));
-                            cand_new.push(row);
-                            continue;
-                        }
-                        slots[i] = ht.next_slot(slot);
-                        stage1_fail.push(r);
-                    }
-                    // SAFETY: all candidate rows live on pinned pages.
-                    unsafe {
-                        row_row_match_sel(
-                            layout,
-                            plan.key_cols,
-                            &cand_existing,
-                            &cand_new,
-                            &mut matched,
-                            &mut no_match,
-                        );
-                    }
-                    for &p in &matched {
-                        targets[cand_rows[p as usize] as usize] =
-                            cand_existing[p as usize] as *mut u8;
-                    }
-                    for &p in &no_match {
-                        let i = cand_rows[p as usize] as usize;
-                        slots[i] = ht.next_slot(slots[i]);
-                    }
-                    // Ordered merge keeps `remaining` ascending, mirroring
-                    // the phase-1 probe.
-                    next_remaining.clear();
-                    let (mut ai, mut bi) = (0, 0);
-                    while ai < stage1_fail.len() && bi < no_match.len() {
-                        let br = cand_rows[no_match[bi] as usize];
-                        if stage1_fail[ai] < br {
-                            next_remaining.push(stage1_fail[ai]);
-                            ai += 1;
-                        } else {
-                            next_remaining.push(br);
-                            bi += 1;
-                        }
-                    }
-                    next_remaining.extend_from_slice(&stage1_fail[ai..]);
-                    next_remaining.extend(no_match[bi..].iter().map(|&p| cand_rows[p as usize]));
-                    std::mem::swap(&mut remaining, &mut next_remaining);
-                }
-                // Combine duplicates into their surviving rows, in chunk-row
-                // order, one columnar kernel call per aggregate.
-                pairs.clear();
-                pairs.extend(
-                    ptrs.iter()
-                        .zip(&targets)
-                        .filter(|&(&row, &dst)| !std::ptr::eq(row, dst))
-                        .map(|(&row, &dst)| (row as *const u8, dst)),
-                );
-                if !pairs.is_empty() {
-                    for (sidx, agg) in plan.state_aggs.iter().enumerate() {
-                        let off = layout.aggr_offset(sidx);
-                        state_pairs.clear();
-                        state_pairs.extend(pairs.iter().map(|&(src, dst)| {
-                            // SAFETY: states are inside the rows.
-                            unsafe { (src.add(off), dst.add(off)) }
-                        }));
-                        // SAFETY: src/dst are distinct rows' states.
-                        unsafe { (agg.kernels.combine)(&state_pairs) };
-                    }
-                }
+        // Combine duplicates into their surviving rows, in chunk-row
+        // order, one columnar kernel call per aggregate.
+        pairs.clear();
+        pairs.extend(
+            ptrs.iter()
+                .zip(&targets)
+                .filter(|&(&row, &dst)| !std::ptr::eq(row, dst))
+                .map(|(&row, &dst)| (row as *const u8, dst)),
+        );
+        if !pairs.is_empty() {
+            for (sidx, agg) in plan.state_aggs.iter().enumerate() {
+                let off = layout.aggr_offset(sidx);
+                state_pairs.clear();
+                state_pairs.extend(pairs.iter().map(|&(src, dst)| {
+                    // SAFETY: states are inside the rows.
+                    unsafe { (src.add(off), dst.add(off)) }
+                }));
+                // SAFETY: src/dst are distinct rows' states.
+                unsafe { (agg.kernels.combine)(&state_pairs) };
             }
         }
     }
@@ -1664,11 +1513,7 @@ pub fn hash_aggregate_streaming_ctx(
         buffer.spill_retries,
         buffer.evictions_persistent + buffer.evictions_temporary,
     );
-    let operator = match config.kernel_mode {
-        KernelMode::Vectorized => "HASH_AGGREGATE (vectorized)",
-        KernelMode::Scalar => "HASH_AGGREGATE (scalar)",
-    };
-    let mut profile = collector.finish(operator, t_run.elapsed());
+    let mut profile = collector.finish("HASH_AGGREGATE (vectorized)", t_run.elapsed());
     if let Some(sc) = &spans {
         // The workers have joined and `drain_io` waited out the background
         // jobs, so every buffer for this query is quiescent: merge them
@@ -2239,37 +2084,26 @@ mod tests {
             group_cols: vec![0],
             aggregates: vec![AggregateSpec::count_star(), AggregateSpec::sum(1)],
         };
-        for mode in [KernelMode::Vectorized, KernelMode::Scalar] {
-            let config = AggregateConfig {
-                kernel_mode: mode,
-                ..small_config(1)
-            };
-            let source = CollectionSource::new(&coll);
-            let (out, stats) =
-                hash_aggregate_collect(&mgr, &source, coll.types(), &plan, &config).unwrap();
-            assert_eq!(stats.groups, 3, "{mode:?}: zeros one group, NaNs one group");
-            let got = sorted_rows(out.chunks());
-            let source = CollectionSource::new(&coll);
-            let want =
-                reference_aggregate(&source, coll.types(), &plan.group_cols, &plan.aggregates)
-                    .unwrap();
-            assert_rows_bits_equal(&got, &want);
-            let zero = got
-                .iter()
-                .find(|r| matches!(r[0], Value::Float64(f) if f == 0.0))
-                .unwrap();
-            assert!(
-                matches!(zero[0], Value::Float64(f) if f.to_bits() == 0),
-                "{mode:?}: key must materialize as +0.0, got {:?}",
-                zero[0]
-            );
-            assert_eq!(
-                zero[1],
-                Value::Int64(4),
-                "{mode:?}: count of the zero group"
-            );
-            assert_eq!(zero[2], Value::Int64(8), "{mode:?}: sum of the zero group");
-        }
+        let source = CollectionSource::new(&coll);
+        let (out, stats) =
+            hash_aggregate_collect(&mgr, &source, coll.types(), &plan, &small_config(1)).unwrap();
+        assert_eq!(stats.groups, 3, "zeros one group, NaNs one group");
+        let got = sorted_rows(out.chunks());
+        let source = CollectionSource::new(&coll);
+        let want =
+            reference_aggregate(&source, coll.types(), &plan.group_cols, &plan.aggregates).unwrap();
+        assert_rows_bits_equal(&got, &want);
+        let zero = got
+            .iter()
+            .find(|r| matches!(r[0], Value::Float64(f) if f == 0.0))
+            .unwrap();
+        assert!(
+            matches!(zero[0], Value::Float64(f) if f.to_bits() == 0),
+            "key must materialize as +0.0, got {:?}",
+            zero[0]
+        );
+        assert_eq!(zero[1], Value::Int64(4), "count of the zero group");
+        assert_eq!(zero[2], Value::Int64(8), "sum of the zero group");
     }
 
     #[test]
@@ -2322,14 +2156,8 @@ mod tests {
                 AggregateSpec::min(1),
             ],
         };
-        for mode in [KernelMode::Vectorized, KernelMode::Scalar] {
-            for threads in [1, 4] {
-                let config = AggregateConfig {
-                    kernel_mode: mode,
-                    ..small_config(threads)
-                };
-                check_against_reference(&coll, &plan, &config, &mgr);
-            }
+        for threads in [1, 4] {
+            check_against_reference(&coll, &plan, &small_config(threads), &mgr);
         }
     }
 
@@ -2371,14 +2199,8 @@ mod tests {
                 AggregateSpec::max(1),
             ],
         };
-        for mode in [KernelMode::Vectorized, KernelMode::Scalar] {
-            let config = AggregateConfig {
-                kernel_mode: mode,
-                ..small_config(1)
-            };
-            let stats = check_against_reference(&coll, &plan, &config, &mgr);
-            assert_eq!(stats.groups, 64, "{mode:?}");
-        }
+        let stats = check_against_reference(&coll, &plan, &small_config(1), &mgr);
+        assert_eq!(stats.groups, 64);
     }
 
     #[test]
@@ -2412,22 +2234,12 @@ mod tests {
             group_cols: vec![0],
             aggregates: vec![AggregateSpec::count_star(), AggregateSpec::sum(1)],
         };
-        for mode in [KernelMode::Vectorized, KernelMode::Scalar] {
-            let config = AggregateConfig {
-                threads: 1,
-                radix_bits: Some(3),
-                ht_capacity: 4 * VECTOR_SIZE,
-                output_chunk_size: 512,
-                reset_fill_percent: 50,
-                kernel_mode: mode,
-                ..Default::default()
-            };
-            let stats = check_against_reference(&coll, &plan, &config, &mgr);
-            assert!(
-                stats.resets >= 2,
-                "{mode:?}: expected resets, got {stats:?}"
-            );
-        }
+        let config = AggregateConfig {
+            reset_fill_percent: 50,
+            ..small_config(1)
+        };
+        let stats = check_against_reference(&coll, &plan, &config, &mgr);
+        assert!(stats.resets >= 2, "expected resets, got {stats:?}");
     }
 
     #[test]
@@ -2577,11 +2389,13 @@ mod tests {
     }
 
     #[test]
-    fn scalar_and_vectorized_bit_identical_single_thread() {
-        // Float aggregates are order-sensitive; at threads: 1 the
-        // vectorized path must reproduce the scalar oracle bit for bit
-        // (same probe order, same update order, same phase-2 combine
-        // order), including NaN propagation and signed zeros.
+    fn single_thread_float_aggregates_match_reference_bitwise() {
+        // Float aggregates are order-sensitive. At threads: 1 with 200
+        // groups in a table that never resets, every group is one row that
+        // folds its inputs in input order — the reference's order — so SUM,
+        // AVG, MIN and MAX must match it bit for bit, including NaN
+        // propagation and signed zeros. VAR/STDDEV (Welford vs the
+        // reference's two passes) match within tolerance.
         let mut rng = StdRng::seed_from_u64(99);
         let mut coll = ChunkCollection::new(vec![LogicalType::Int64, LogicalType::Float64]);
         for _ in 0..8 {
@@ -2621,19 +2435,28 @@ mod tests {
                 AggregateSpec::stddev_samp(1),
             ],
         };
-        let run = |mode| {
-            let config = AggregateConfig {
-                kernel_mode: mode,
-                ..small_config(1)
-            };
-            let source = CollectionSource::new(&coll);
-            let (out, _) =
-                hash_aggregate_collect(&mgr, &source, coll.types(), &plan, &config).unwrap();
-            sorted_rows(out.chunks())
-        };
-        let scalar = run(KernelMode::Scalar);
-        let vectorized = run(KernelMode::Vectorized);
-        assert_rows_bits_equal(&vectorized, &scalar);
+        let source = CollectionSource::new(&coll);
+        let (out, stats) =
+            hash_aggregate_collect(&mgr, &source, coll.types(), &plan, &small_config(1)).unwrap();
+        assert_eq!(stats.resets, 0, "the geometry must not reset");
+        let got = sorted_rows(out.chunks());
+        let source = CollectionSource::new(&coll);
+        let want =
+            reference_aggregate(&source, coll.types(), &plan.group_cols, &plan.aggregates).unwrap();
+        // The last two columns are VAR_SAMP and STDDEV_SAMP.
+        assert_eq!(got.len(), want.len());
+        for (g, w) in got.iter().zip(&want) {
+            let k = g.len() - 2;
+            assert_rows_bits_equal(&[g[..k].to_vec()], &[w[..k].to_vec()]);
+            for (a, b) in g[k..].iter().zip(&w[k..]) {
+                if let (Value::Float64(x), Value::Float64(y)) = (a, b) {
+                    let close = (x - y).abs() <= 1e-9 * (1.0 + x.abs().max(y.abs()));
+                    assert!(close || x.is_nan() && y.is_nan(), "{a:?} vs {b:?}");
+                } else {
+                    assert_eq!(a, b, "row {g:?}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -6,7 +6,7 @@
 
 use crate::function::{AggKind, AggregateSpec};
 use rexa_exec::pipeline::ChunkSource;
-use rexa_exec::{DataChunk, Error, LogicalType, Result, Value};
+use rexa_exec::{DataChunk, LogicalType, Result, Value};
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
 
@@ -100,7 +100,7 @@ impl RefState {
                 }
             }
             RefState::Min(cur) | RefState::Max(cur) => {
-                let is_min = matches!(self_kind(kind), AggKind::Min);
+                let is_min = kind == AggKind::Min;
                 if let Some(v) = v.filter(|v| !v.is_null()) {
                     let replace = match cur {
                         None => true,
@@ -177,22 +177,26 @@ impl RefState {
     }
 }
 
-fn self_kind(kind: AggKind) -> AggKind {
-    kind
-}
-
 /// Aggregate `source` with the reference implementation. Returns the result
-/// rows sorted by group key: `(group values ++ aggregate values)`.
+/// rows sorted by group key: `(group values ++ aggregate values)`. With no
+/// group columns this is the global aggregate: exactly one row of aggregate
+/// values, even on empty input (`COUNT` and `SUM` 0, the others NULL).
 pub fn reference_aggregate(
     source: &dyn ChunkSource,
     input_schema: &[LogicalType],
     group_cols: &[usize],
     aggregates: &[AggregateSpec],
 ) -> Result<Vec<Vec<Value>>> {
-    if group_cols.is_empty() {
-        return Err(Error::Unsupported("ungrouped reference".into()));
-    }
+    let new_states = || -> Vec<RefState> {
+        aggregates
+            .iter()
+            .map(|a| RefState::new(a.kind, a.arg.map(|c| input_schema[c])))
+            .collect()
+    };
     let mut groups: BTreeMap<KeyRow, Vec<RefState>> = BTreeMap::new();
+    if group_cols.is_empty() {
+        groups.insert(KeyRow(Vec::new()), new_states());
+    }
     let mut reader = source.reader();
     while let Some(chunk) = reader.next()? {
         for i in 0..chunk.len() {
@@ -210,12 +214,7 @@ pub fn reference_aggregate(
                     })
                     .collect(),
             );
-            let states = groups.entry(key).or_insert_with(|| {
-                aggregates
-                    .iter()
-                    .map(|a| RefState::new(a.kind, a.arg.map(|c| input_schema[c])))
-                    .collect()
-            });
+            let states = groups.entry(key).or_insert_with(new_states);
             for (state, spec) in states.iter_mut().zip(aggregates) {
                 let v = spec.arg.map(|c| chunk.column(c).value(i));
                 state.update(spec.kind, v.as_ref());
@@ -272,6 +271,20 @@ mod tests {
                 vec![Value::Int64(2), Value::Int64(60), Value::Int64(2)],
             ]
         );
+    }
+
+    #[test]
+    fn reference_without_groups_is_one_sql_row() {
+        let aggs = [AggregateSpec::count_star(), AggregateSpec::min(0)];
+        let mut coll = ChunkCollection::new(vec![LogicalType::Int64]);
+        let source = CollectionSource::new(&coll);
+        let empty = reference_aggregate(&source, coll.types(), &[], &aggs).unwrap();
+        assert_eq!(empty, vec![vec![Value::Int64(0), Value::Null]]);
+        coll.push(DataChunk::new(vec![Vector::from_i64(vec![4, 2, 9])]))
+            .unwrap();
+        let source = CollectionSource::new(&coll);
+        let rows = reference_aggregate(&source, coll.types(), &[], &aggs).unwrap();
+        assert_eq!(rows, vec![vec![Value::Int64(3), Value::Int64(2)]]);
     }
 
     #[test]

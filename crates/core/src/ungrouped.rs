@@ -3,11 +3,13 @@
 //! thread-local pre-aggregation reduces each worker's input to a single
 //! state vector; combining one row per thread afterwards costs nothing, so
 //! a single thread does it. Memory use is constant: this path never spills.
+//!
+//! The states go through the same bound kernels as the grouped operator
+//! (`crate::kernel`): every input row of a chunk targets the one state.
 
-use crate::function::{
-    bind_aggregate, combine_state, finalize_state, update_state, AggKind, AggregateSpec,
-    BoundAggregate,
-};
+#![deny(clippy::undocumented_unsafe_blocks)]
+
+use crate::function::{bind_aggregate, AggKind, AggregateSpec, BoundAggregate};
 use parking_lot::Mutex;
 use rexa_exec::pipeline::{ChunkSource, LocalSink, ParallelSink, Pipeline};
 use rexa_exec::{DataChunk, Error, LogicalType, Result, Value};
@@ -44,13 +46,23 @@ struct UngroupedSink<'a> {
 struct LocalUngrouped<'a> {
     sink: &'a UngroupedSink<'a>,
     state: ThreadState,
+    /// One pointer per input row of the current chunk, all to `state`'s
+    /// state bytes: the update kernels' row-target vector.
+    rows: Vec<*mut u8>,
 }
+
+// SAFETY: `sink` is a shared reference to a `Sync` type and `state` holds
+// only owned, `Send` data. `rows` only ever points into this sink's own
+// `state`, is rebuilt for every chunk, and is dereferenced only by the
+// worker that owns the sink; the sink moves onto that worker once.
+unsafe impl Send for LocalUngrouped<'_> {}
 
 impl ParallelSink for UngroupedSink<'_> {
     fn local(&self) -> Result<Box<dyn LocalSink + '_>> {
         Ok(Box::new(LocalUngrouped {
             sink: self,
             state: ThreadState::new(self.bound),
+            rows: Vec::new(),
         }))
     }
 }
@@ -61,6 +73,9 @@ impl LocalSink for LocalUngrouped<'_> {
             return Ok(());
         }
         self.state.saw_rows = true;
+        let base = self.state.states.as_mut_ptr();
+        self.rows.clear();
+        self.rows.resize(chunk.len(), base);
         let mut any_idx = 0usize;
         for (k, agg) in self.sink.bound.aggs.iter().enumerate() {
             if agg.spec.kind == AggKind::AnyValue {
@@ -72,11 +87,10 @@ impl LocalSink for LocalUngrouped<'_> {
                 continue;
             }
             let arg = agg.spec.arg.map(|c| chunk.column(c));
-            let off = self.sink.bound.offsets[k];
-            for i in 0..chunk.len() {
-                // SAFETY: states sized at bind time; offsets in range.
-                unsafe { update_state(agg, self.state.states.as_mut_ptr().add(off), arg, i) };
-            }
+            // SAFETY: one target per input row, every one the base of this
+            // thread's state bytes, which hold this aggregate's state at
+            // `offsets[k]` (sized at bind time).
+            unsafe { (agg.kernels.update)(&self.rows, self.sink.bound.offsets[k], arg) };
         }
         Ok(())
     }
@@ -97,22 +111,21 @@ impl LocalSink for LocalUngrouped<'_> {
                 continue;
             }
             let off = self.sink.bound.offsets[k];
-            // SAFETY: both state vectors share the bound layout.
-            unsafe {
-                combine_state(
-                    agg,
-                    self.state.states.as_ptr().add(off),
-                    merged.states.as_mut_ptr().add(off),
-                )
-            };
+            let pair = (
+                self.state.states[off..].as_ptr(),
+                merged.states[off..].as_mut_ptr(),
+            );
+            // SAFETY: two distinct state vectors of the same bound layout,
+            // each holding this aggregate's state at `off`.
+            unsafe { (agg.kernels.combine)(&[pair]) };
         }
         Ok(())
     }
 }
 
 /// Compute aggregates over the whole input with no GROUP BY; returns exactly
-/// one row of values, in aggregate order (`COUNT(*)` of an empty input is 0;
-/// value aggregates of an empty input are NULL, per SQL).
+/// one row of values, in aggregate order (on an empty input `COUNT` and
+/// `SUM` are 0, as for an all-NULL group, and the others NULL).
 pub fn ungrouped_aggregate(
     source: &dyn ChunkSource,
     input_schema: &[LogicalType],
@@ -159,8 +172,13 @@ pub fn ungrouped_aggregate(
                 any_idx += 1;
                 v
             }
-            // SAFETY: state initialized at bind, updated under the layout.
-            _ => unsafe { finalize_state(agg, merged.states.as_ptr().add(bound.offsets[k])) },
+            _ => {
+                let state = merged.states[bound.offsets[k]..].as_ptr();
+                // SAFETY: this aggregate's state inside the merged state
+                // bytes, zero-initialized and then updated and combined
+                // only through its kernels.
+                unsafe { (agg.kernels.finalize)(&[state]) }.value(0)
+            }
         };
         row.push(v);
     }

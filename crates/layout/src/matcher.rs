@@ -127,13 +127,14 @@ pub unsafe fn rows_match_sel(
     }
     // Failures were appended column by column, scrambling the original
     // order; restore it so callers can keep their probe selections ordered
-    // (ordered selections make the vectorized operator's combine order — and
-    // therefore its float results — identical to the scalar oracle's).
+    // (ordered selections keep the operator's combine order — and therefore
+    // its float results — in input order).
     no_match.sort_unstable();
 }
 
-/// Selection-vector form of [`row_row_match`]: compare a batch of candidate
-/// (row, row) pairs on the first `key_cols` columns, grouped by column.
+/// Compare a batch of candidate (row, row) pairs of materialized rows on the
+/// first `key_cols` columns, grouped by column (used in phase 2, where both
+/// sides are rows; payload columns after the keys are not compared).
 /// Contract mirrors [`rows_match_sel`]: `matched` and `no_match` receive the
 /// positions of agreeing / differing pairs, in order.
 ///
@@ -201,52 +202,6 @@ pub unsafe fn row_row_match_sel(
         matched.truncate(keep);
     }
     no_match.sort_unstable();
-}
-
-/// Compare the first `key_cols` columns of two materialized rows (used in
-/// phase 2, where both sides are rows; payload columns after the keys are
-/// not compared).
-///
-/// # Safety
-/// Both pointers must address live rows of `layout`, pinned and recomputed.
-pub unsafe fn row_row_match(
-    layout: &TupleDataLayout,
-    key_cols: usize,
-    a: *const u8,
-    b: *const u8,
-) -> bool {
-    for c in 0..key_cols {
-        let av = layout.is_valid(a, c);
-        let bv = layout.is_valid(b, c);
-        if av != bv {
-            return false;
-        }
-        if !av {
-            continue;
-        }
-        let sa = a.add(layout.offset(c));
-        let sb = b.add(layout.offset(c));
-        let ty = layout.types()[c];
-        let eq = match ty {
-            rexa_exec::LogicalType::Int32 | rexa_exec::LogicalType::Date => {
-                std::ptr::read_unaligned(sa as *const i32)
-                    == std::ptr::read_unaligned(sb as *const i32)
-            }
-            rexa_exec::LogicalType::Int64 | rexa_exec::LogicalType::Float64 => {
-                std::ptr::read_unaligned(sa as *const u64)
-                    == std::ptr::read_unaligned(sb as *const u64)
-            }
-            rexa_exec::LogicalType::Varchar => {
-                let ra = RexaString::read_from(sa);
-                let rb = RexaString::read_from(sb);
-                ra.eq_bytes(rb.as_bytes())
-            }
-        };
-        if !eq {
-            return false;
-        }
-    }
-    true
 }
 
 /// Find the runs of adjacent equal group keys in a chunk of column-major

@@ -1,6 +1,6 @@
 //! Property-based differential testing: for arbitrary schemas, data
 //! distributions, memory limits, thread counts, and aggregate mixes, the
-//! robust operator, the in-memory baseline, and the external sort baseline
+//! robust operator, the ungrouped aggregate, and the external sort baseline
 //! must all produce exactly the multiset of groups and aggregate values the
 //! naive reference model produces.
 
@@ -10,8 +10,8 @@ use rexa_buffer::{BufferManager, BufferManagerConfig};
 use rexa_core::baselines::sort_aggregate;
 use rexa_core::simple::{reference_aggregate, sorted_rows};
 use rexa_core::{
-    hash_aggregate_collect, AggregateConfig, AggregateSpec, HashAggregatePlan, KernelMode,
-    SortedInput,
+    hash_aggregate_collect, ungrouped_aggregate, AggKind, AggregateConfig, AggregateSpec,
+    HashAggregatePlan, SortedInput,
 };
 use rexa_exec::pipeline::{CancelToken, CollectionSource};
 use rexa_exec::{ChunkCollection, DataChunk, LogicalType, Value, VECTOR_SIZE};
@@ -221,14 +221,13 @@ proptest! {
         }
     }
 
-    /// The monomorphized kernels + selection-vector probe (the default
-    /// `Vectorized` mode) must be *bit-identical* to the retained scalar
-    /// oracle at `threads: 1` — same groups, same probe/claim order, same
-    /// float summation order — across every aggregate kind (including the
-    /// Welford variance kernels), NULL-heavy inputs, and chunks full of
-    /// within-chunk duplicates.
+    /// The monomorphized kernels + selection-vector probe at `threads: 1`
+    /// against the reference model, across every aggregate kind (including
+    /// the Welford variance kernels), NULL-heavy inputs, and chunks full of
+    /// within-chunk duplicates: integer results exact, floats within
+    /// tolerance.
     #[test]
-    fn vectorized_kernels_bit_identical_to_scalar_oracle(case in case_strategy()) {
+    fn vectorized_kernels_match_reference_model(case in case_strategy()) {
         let coll = build_collection(&case);
         let mut aggregates = aggregates_for(&case);
         if let Some(arg) = (0..case.types.len()).find(|c| {
@@ -245,37 +244,34 @@ proptest! {
             group_cols: case.group_cols.clone(),
             aggregates,
         };
-        // Generous limit: mode must not change behaviour, and OOM aborts
-        // would make the comparison vacuous.
+        // Generous limit: OOM aborts would make the comparison vacuous.
         let mgr = BufferManager::new(
             BufferManagerConfig::with_limit(64 << 20)
                 .page_size(4 << 10)
                 .temp_dir(scratch_dir("propk").unwrap()),
         )
         .unwrap();
-        let run = |mode: KernelMode| {
-            let config = AggregateConfig {
-                threads: 1,
-                radix_bits: Some(case.radix_bits),
-                ht_capacity: 4 * VECTOR_SIZE,
-                output_chunk_size: 777,
-                reset_fill_percent: 66,
-                kernel_mode: mode,
-                ..Default::default()
-            };
-            let source = CollectionSource::new(&coll);
-            let (out, stats) =
-                hash_aggregate_collect(&mgr, &source, coll.types(), &plan, &config).unwrap();
-            (sorted_rows(out.chunks()), stats.groups)
+        let config = AggregateConfig {
+            threads: 1,
+            radix_bits: Some(case.radix_bits),
+            ht_capacity: 4 * VECTOR_SIZE,
+            output_chunk_size: 777,
+            reset_fill_percent: 66,
+            ..Default::default()
         };
-        let (scalar, scalar_groups) = run(KernelMode::Scalar);
-        let (vectorized, vectorized_groups) = run(KernelMode::Vectorized);
-        prop_assert_eq!(scalar_groups, vectorized_groups);
+        let source = CollectionSource::new(&coll);
+        let (out, stats) =
+            hash_aggregate_collect(&mgr, &source, coll.types(), &plan, &config).unwrap();
+        let got = sorted_rows(out.chunks());
+        let source = CollectionSource::new(&coll);
+        let want =
+            reference_aggregate(&source, coll.types(), &plan.group_cols, &plan.aggregates).unwrap();
+        prop_assert_eq!(stats.groups, want.len());
         prop_assert!(
-            rows_bits_eq(&vectorized, &scalar),
-            "vectorized result diverges from scalar oracle: {} vs {} rows",
-            vectorized.len(),
-            scalar.len()
+            rows_approx_eq(&got, &want),
+            "result diverges from the reference model: {} vs {} rows",
+            got.len(),
+            want.len()
         );
     }
 
@@ -331,12 +327,13 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// The forced in-stream fast path (`SortedInput::Sorted`) on sorted
-    /// input must be *bit-identical* to the scalar hash oracle at
-    /// `threads: 1`, in both kernel modes: with one worker and no epoch
-    /// seals each group is one contiguous run, so the accumulation sequence
-    /// — including float summation order — is exactly the hash path's.
+    /// input must be *bit-identical* to the hash phase 1
+    /// (`SortedInput::Unsorted`) at `threads: 1`: with one worker and no
+    /// epoch seals each group is one contiguous run, so the accumulation
+    /// sequence — including float summation order — is exactly the hash
+    /// path's.
     #[test]
-    fn forced_instream_bit_identical_to_scalar_oracle(case in case_strategy()) {
+    fn forced_instream_bit_identical_to_hash_phase1(case in case_strategy()) {
         let mut case = case;
         sort_rows_by_group(&mut case);
         let coll = build_collection(&case);
@@ -353,14 +350,13 @@ proptest! {
                 .temp_dir(scratch_dir("instream-bits").unwrap()),
         )
         .unwrap();
-        let run = |sorted: SortedInput, mode: KernelMode| {
+        let run = |sorted: SortedInput| {
             let config = AggregateConfig {
                 threads: 1,
                 radix_bits: Some(case.radix_bits),
                 ht_capacity: 4 * VECTOR_SIZE,
                 output_chunk_size: 777,
                 reset_fill_percent: 66,
-                kernel_mode: mode,
                 sorted_input: sorted,
                 ..Default::default()
             };
@@ -369,19 +365,18 @@ proptest! {
                 hash_aggregate_collect(&mgr, &source, coll.types(), &plan, &config).unwrap();
             (sorted_rows(out.chunks()), stats.groups, stats.profile.strategy)
         };
-        let (oracle, oracle_groups, _) = run(SortedInput::Unsorted, KernelMode::Scalar);
-        for mode in [KernelMode::Scalar, KernelMode::Vectorized] {
-            let (got, groups, strategy) = run(SortedInput::Sorted, mode);
-            prop_assert_eq!(groups, oracle_groups, "{:?}", mode);
-            prop_assert!(
-                rows_bits_eq(&got, &oracle),
-                "{mode:?} in-stream diverges from scalar oracle: {} vs {} rows",
-                got.len(),
-                oracle.len()
-            );
-            // The run actually took the in-stream path, not the hash path.
-            prop_assert_eq!(strategy, "instream");
-        }
+        let (hash, hash_groups, hash_strategy) = run(SortedInput::Unsorted);
+        prop_assert_eq!(hash_strategy, "thread_local");
+        let (got, groups, strategy) = run(SortedInput::Sorted);
+        prop_assert_eq!(groups, hash_groups);
+        prop_assert!(
+            rows_bits_eq(&got, &hash),
+            "in-stream diverges from the hash phase 1: {} vs {} rows",
+            got.len(),
+            hash.len()
+        );
+        // The run actually took the in-stream path, not the hash path.
+        prop_assert_eq!(strategy, "instream");
     }
 
     /// Sorted input through the forced in-stream phase 1 and the hash
@@ -716,4 +711,236 @@ fn same_seed_same_threads_is_deterministic_at_every_thread_count() {
         assert_eq!(groups_a, groups_b);
         assert_eq!(groups_a, 400);
     }
+}
+
+/// A Float64 value for the float bit-identity tests: NULLs, NaN, signed
+/// zeros, and magnitudes far enough apart that summation order shows.
+fn float_value() -> BoxedStrategy<Value> {
+    prop_oneof![
+        2 => Just(Value::Null),
+        1 => Just(Value::Float64(f64::NAN)),
+        1 => Just(Value::Float64(-0.0)),
+        1 => Just(Value::Float64(0.0)),
+        6 => (-1e6f64..1e6).prop_map(Value::Float64),
+        1 => (-1e18f64..1e18).prop_map(Value::Float64),
+    ]
+    .boxed()
+}
+
+/// One Int64 key column plus one Float64 value column, in chunks.
+fn key_float_collection(rows: &[(i64, Value)]) -> ChunkCollection {
+    let types = vec![LogicalType::Int64, LogicalType::Float64];
+    let mut coll = ChunkCollection::new(types.clone());
+    for chunk_rows in rows.chunks(VECTOR_SIZE) {
+        let mut chunk = DataChunk::empty(&types);
+        for (k, v) in chunk_rows {
+            chunk.push_row(&[Value::Int64(*k), v.clone()]).unwrap();
+        }
+        coll.push(chunk).unwrap();
+    }
+    coll
+}
+
+/// A column of the ungrouped proptest: mostly NULL, sometimes entirely.
+fn null_heavy_column() -> impl Strategy<Value = (LogicalType, Vec<Value>)> {
+    (
+        prop::sample::select(vec![
+            LogicalType::Int32,
+            LogicalType::Int64,
+            LogicalType::Float64,
+            LogicalType::Date,
+        ]),
+        // Some inputs are empty or tiny, and some entirely NULL.
+        prop_oneof![1 => 0usize..8, 3 => 0usize..3000],
+        prop_oneof![1 => Just(0.0f64), 3 => 0.0f64..0.5],
+    )
+        .prop_flat_map(|(ty, rows, valid)| {
+            let value = (0.0f64..1.0, -1000i64..1000).prop_map(move |(u, v)| match ty {
+                _ if u >= valid => Value::Null,
+                LogicalType::Int32 => Value::Int32(v as i32),
+                LogicalType::Int64 => Value::Int64(v),
+                LogicalType::Float64 => Value::Float64(v as f64 * 0.5),
+                LogicalType::Date => Value::Date(v as i32),
+                LogicalType::Varchar => unreachable!(),
+            });
+            (Just(ty), prop::collection::vec(value, rows))
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The ungrouped (no GROUP BY) aggregate against the reference model's
+    /// one-row global aggregate, at threads {1, 2, 4}, for every aggregate
+    /// kind over NULL-heavy (possibly all-NULL, possibly empty) columns.
+    /// Integer results exact, floats within tolerance (threads combine in
+    /// scheduling order); `ANY_VALUE` must be some value of its column.
+    #[test]
+    fn ungrouped_matches_reference_model(column in null_heavy_column()) {
+        let (ty, values) = column;
+        let mut coll = ChunkCollection::new(vec![ty]);
+        for chunk_values in values.chunks(VECTOR_SIZE) {
+            let mut chunk = DataChunk::empty(&[ty]);
+            for v in chunk_values {
+                chunk.push_row(std::slice::from_ref(v)).unwrap();
+            }
+            coll.push(chunk).unwrap();
+        }
+        let mut aggregates = vec![
+            AggregateSpec::count_star(),
+            AggregateSpec::count(0),
+            AggregateSpec::min(0),
+            AggregateSpec::max(0),
+            AggregateSpec::any_value(0),
+        ];
+        if ty != LogicalType::Date {
+            aggregates.extend([
+                AggregateSpec::sum(0),
+                AggregateSpec::avg(0),
+                AggregateSpec::var_samp(0),
+                AggregateSpec::stddev_samp(0),
+            ]);
+        }
+        let source = CollectionSource::new(&coll);
+        let want = reference_aggregate(&source, coll.types(), &[], &aggregates).unwrap();
+        prop_assert_eq!(want.len(), 1);
+        let is_any = |k: usize| aggregates[k].kind == AggKind::AnyValue;
+        let without_any = |row: &[Value]| -> Vec<Value> {
+            row.iter()
+                .enumerate()
+                .filter(|&(k, _)| !is_any(k))
+                .map(|(_, v)| v.clone())
+                .collect()
+        };
+        for threads in [1usize, 2, 4] {
+            let source = CollectionSource::new(&coll);
+            let got = ungrouped_aggregate(&source, coll.types(), &aggregates, threads).unwrap();
+            prop_assert!(
+                rows_approx_eq(&[without_any(&got)], &[without_any(&want[0])]),
+                "threads={}: got {:?} want {:?}",
+                threads,
+                got,
+                want[0]
+            );
+            for (k, v) in got.iter().enumerate().filter(|&(k, _)| is_any(k)) {
+                let in_column = if values.is_empty() {
+                    v.is_null()
+                } else {
+                    values.iter().any(|x| x.total_cmp(v).is_eq())
+                };
+                prop_assert!(in_column, "threads={}: ANY_VALUE #{} = {:?}", threads, k, v);
+            }
+        }
+    }
+
+    /// At `threads: 1` with a phase-1 table that never resets, every group
+    /// is one materialized row folding its inputs in input order — the
+    /// reference model's order — and phase 2 has no duplicate to combine.
+    /// Float SUM, AVG, MIN and MAX must then equal the reference bit for
+    /// bit, NaN and signed zeros included.
+    #[test]
+    fn float_aggregates_bit_identical_to_reference_without_reset(
+        rows in prop::collection::vec((0i64..300, float_value()), 0..6000),
+        radix_bits in 0u32..5,
+    ) {
+        let coll = key_float_collection(&rows);
+        let plan = HashAggregatePlan {
+            group_cols: vec![0],
+            aggregates: vec![
+                AggregateSpec::sum(1),
+                AggregateSpec::avg(1),
+                AggregateSpec::min(1),
+                AggregateSpec::max(1),
+            ],
+        };
+        let mgr = BufferManager::new(
+            BufferManagerConfig::with_limit(64 << 20)
+                .page_size(4 << 10)
+                .temp_dir(scratch_dir("float-bits").unwrap()),
+        )
+        .unwrap();
+        let config = AggregateConfig {
+            threads: 1,
+            radix_bits: Some(radix_bits),
+            // At most 300 groups: far below the reset threshold.
+            ht_capacity: 4 * VECTOR_SIZE,
+            sorted_input: SortedInput::Unsorted,
+            ..Default::default()
+        };
+        let source = CollectionSource::new(&coll);
+        let (out, stats) =
+            hash_aggregate_collect(&mgr, &source, coll.types(), &plan, &config).unwrap();
+        prop_assert_eq!(stats.resets, 0);
+        let got = sorted_rows(out.chunks());
+        let source = CollectionSource::new(&coll);
+        let want =
+            reference_aggregate(&source, coll.types(), &plan.group_cols, &plan.aggregates).unwrap();
+        prop_assert!(
+            rows_bits_eq(&got, &want),
+            "float aggregates diverge from the reference: {} vs {} rows",
+            got.len(),
+            want.len()
+        );
+    }
+}
+
+/// Float aggregates under a geometry that resets the phase-1 table many
+/// times, so phase 2 combines partial states: run twice at `threads: 1`,
+/// the results must be bit-identical (the combine order is a function of
+/// the input alone).
+#[test]
+fn float_aggregates_run_twice_bit_identical_under_resets() {
+    let rows: Vec<(i64, Value)> = (0..60_000i64)
+        .map(|i| {
+            let v = match i % 11 {
+                0 => Value::Null,
+                1 => Value::Float64(-0.0),
+                k => Value::Float64((i as f64).sin() * 10f64.powi(k as i32)),
+            };
+            (i * 7919 % 20_000, v)
+        })
+        .collect();
+    let coll = key_float_collection(&rows);
+    let plan = HashAggregatePlan {
+        group_cols: vec![0],
+        aggregates: vec![
+            AggregateSpec::sum(1),
+            AggregateSpec::avg(1),
+            AggregateSpec::min(1),
+            AggregateSpec::max(1),
+            AggregateSpec::var_samp(1),
+            AggregateSpec::stddev_samp(1),
+        ],
+    };
+    let run = || {
+        let mgr = BufferManager::new(
+            BufferManagerConfig::with_limit(64 << 20)
+                .page_size(4 << 10)
+                .temp_dir(scratch_dir("float-det").unwrap()),
+        )
+        .unwrap();
+        let config = AggregateConfig {
+            threads: 1,
+            radix_bits: Some(3),
+            ht_capacity: 4 * VECTOR_SIZE,
+            output_chunk_size: 777,
+            ..Default::default()
+        };
+        let source = CollectionSource::new(&coll);
+        let (out, stats) =
+            hash_aggregate_collect(&mgr, &source, coll.types(), &plan, &config).unwrap();
+        (sorted_rows(out.chunks()), stats)
+    };
+    let (a, stats) = run();
+    let (b, _) = run();
+    assert!(stats.resets > 0, "the geometry must reset: {stats:?}");
+    assert_eq!(stats.groups, 20_000);
+    assert!(rows_bits_eq(&a, &b), "float results differ between runs");
+    let source = CollectionSource::new(&coll);
+    let want =
+        reference_aggregate(&source, coll.types(), &plan.group_cols, &plan.aggregates).unwrap();
+    assert!(
+        rows_approx_eq(&a, &want),
+        "results diverge from the reference"
+    );
 }
