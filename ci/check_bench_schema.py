@@ -36,9 +36,6 @@ PROFILE_KEYS = {
     "spill_bytes_written": int,
     "spill_bytes_read": int,
     "evictions": int,
-    "readahead_hits": int,
-    "readahead_misses": int,
-    "io_overlap_secs": float,
     # Phase-1 path the run took: "thread_local" or "instream".
     "strategy": str,
     # The partitions phase 2 merged (one entry per non-empty partition).
@@ -67,14 +64,14 @@ WORKER_KEYS = {
 # scale-free ratio between them: the grouping-shape workloads measure the
 # vectorized path alone, "sorted"/"clustered" compare a forced hash phase 1
 # against the in-stream fast path (forced / detected), and "external"
-# compares sync vs async I/O scheduling.
+# measures the spilling shape with synchronous spill I/O.
 EXPECTED_WORKLOADS = {
     "thin_int": (("vectorized",), None),
     "wide_multi_key": (("vectorized",), None),
     "string_key": (("vectorized",), None),
     "sorted": (("hash", "instream"), "instream_speedup"),
     "clustered": (("hash", "detect"), "detect_speedup"),
-    "external": (("sync", "async"), "io_speedup"),
+    "external": (("sync",), None),
 }
 
 # The threads_sweep section (optional: present when the baseline was

@@ -9,8 +9,8 @@ Two comparison modes, chosen automatically:
 * **Different row counts** (the CI smoke run vs the full baseline):
   absolute throughputs are not comparable across scales, so only the
   scale-free ratios are compared — `instream_speedup`/`detect_speedup`
-  (hash over the in-stream path) and `io_speedup` (sync over async); the
-  single-mode grouping-shape workloads have none. Ratio checks are
+  (hash over the in-stream path); the single-mode workloads (the grouping
+  shapes and `external`) have none. Ratio checks are
   advisory by default (printed, never fatal) because tiny smoke runs are
   noise-dominated; pass `--ratio-tolerance PCT` to enforce them.
 
@@ -40,12 +40,11 @@ MODES = {
     "string_key": ("vectorized",),
     "sorted": ("hash", "instream"),
     "clustered": ("hash", "detect"),
-    "external": ("sync", "async"),
+    "external": ("sync",),
 }
 RATIO_KEYS = {
     "sorted": "instream_speedup",
     "clustered": "detect_speedup",
-    "external": "io_speedup",
 }
 
 

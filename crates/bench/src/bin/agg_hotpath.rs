@@ -194,11 +194,8 @@ fn wide_multi_key(rows: usize) -> Workload {
 /// All-distinct i64 keys carrying a wide string payload: the aggregation
 /// state is larger than the input, so with a memory limit below the
 /// intermediate size phase 1 must spill partitions and phase 2 must reload
-/// them — the external shape the I/O scheduler exists for. The payload
-/// makes the shape I/O-bound (most of the wall time is moving partition
-/// bytes, not hashing), which is the regime the paper's overlap argument
-/// is about. Measured sync (no background I/O) vs async (background spill
-/// writers + phase-2 read-ahead), both vectorized.
+/// them. The payload makes the shape I/O-bound (most of the wall time is
+/// moving partition bytes, not hashing). Spill I/O is synchronous.
 fn external(rows: usize) -> Workload {
     let mut coll = ChunkCollection::new(vec![
         LogicalType::Int64,
@@ -455,16 +452,13 @@ struct Measurement {
 
 /// Buffer-pool geometry for one measurement: the in-memory workloads use a
 /// huge limit (nothing spills); the external workload caps memory below the
-/// intermediate size and toggles the background I/O scheduler.
+/// intermediate size.
 struct PoolSetup {
     mem_limit: usize,
     page_size: usize,
-    io_writers: usize,
-    readahead_depth: usize,
     radix_bits: Option<u32>,
     /// O_DIRECT spill file: expose the device's real I/O latency instead
-    /// of measuring page-cache memcpy speed. Set for both external modes so
-    /// the sync/async comparison is of scheduling, not of caching.
+    /// of measuring page-cache memcpy speed. Set for the external workload.
     direct_io: bool,
     /// Phase-1 routing: hash (`Unsorted`), in-stream (`Sorted`), or let the
     /// run-length sampler decide (`Detect`, the default).
@@ -476,8 +470,6 @@ impl PoolSetup {
         PoolSetup {
             mem_limit: 1 << 30,
             page_size: 64 << 10,
-            io_writers: 0,
-            readahead_depth: 0,
             radix_bits: None,
             direct_io: false,
             sorted_input: SortedInput::Detect,
@@ -491,13 +483,11 @@ fn measure(w: &Workload, threads: usize, reps: usize, setup: &PoolSetup) -> Meas
             .page_size(setup.page_size)
             .policy(EvictionPolicy::Mixed)
             .temp_dir(scratch_dir("agghot").unwrap())
-            .io_writers(setup.io_writers)
             .temp_direct_io(setup.direct_io),
     )
     .unwrap();
     let config = AggregateConfig {
         threads,
-        readahead_depth: setup.readahead_depth,
         radix_bits: setup.radix_bits,
         sorted_input: setup.sorted_input,
         ..Default::default()
@@ -531,10 +521,9 @@ fn measure(w: &Workload, threads: usize, reps: usize, setup: &PoolSetup) -> Meas
     }
 }
 
-/// `--trace-out`: one extra traced run of the external workload with the
-/// background I/O scheduler on, so the exported timeline shows spill writes
-/// and read-ahead overlapping compute. The run needs real spill traffic to
-/// be worth looking at, so it uses its own input floor (500k rows — the
+/// `--trace-out`: one extra traced run of the external workload, so the
+/// exported timeline shows the per-partition handoff under spilling. The
+/// run needs real spill traffic to be worth looking at, so it uses its own input floor (500k rows — the
 /// group state then exceeds the 16 MiB limit floor) rather than the smoke
 /// row count; small pages keep the probe's pinned write heads (threads x 64
 /// partitions x 2 pages) well under the limit.
@@ -551,13 +540,11 @@ fn trace_external_run(ext: &Workload, threads: usize, path: &str) {
         BufferManagerConfig::with_limit(limit)
             .page_size(16 << 10)
             .policy(EvictionPolicy::Mixed)
-            .temp_dir(scratch_dir("agghot").unwrap())
-            .io_writers(2),
+            .temp_dir(scratch_dir("agghot").unwrap()),
     )
     .unwrap();
     let config = AggregateConfig {
         threads,
-        readahead_depth: 2,
         radix_bits: Some(6),
         // Small phase-1 tables: their live rows are pinned, and the traced
         // run's limit is tight by construction.
@@ -599,7 +586,6 @@ fn rate(rows: usize, secs: f64) -> f64 {
 fn json_measurement(m: &Measurement) -> String {
     let p = &m.profile;
     let phase = |ph: rexa_obs::Phase| &p.phases[ph.index()];
-    let io_overlap: f64 = p.phases.iter().map(|ph| ph.overlap.as_secs_f64()).sum();
     // The partitions phase 2 merged.
     let partition_strategies = p
         .partition_merges
@@ -636,8 +622,7 @@ fn json_measurement(m: &Measurement) -> String {
          \"profile\": {{\"probe_busy_secs\": {:.6}, \"merge_busy_secs\": {:.6}, \
          \"finalize_busy_secs\": {:.6}, \"ht_resets\": {}, \"partitions\": {}, \
          \"partitions_external\": {}, \"spill_bytes_written\": {}, \
-         \"spill_bytes_read\": {}, \"evictions\": {}, \"readahead_hits\": {}, \
-         \"readahead_misses\": {}, \"io_overlap_secs\": {:.6}, \
+         \"spill_bytes_read\": {}, \"evictions\": {}, \
          \"strategy\": \"{}\", \"partition_strategies\": [{}], \
          \"workers\": [{}]}}}}",
         m.phase1_secs,
@@ -656,9 +641,6 @@ fn json_measurement(m: &Measurement) -> String {
         p.spill_bytes_written,
         p.spill_bytes_read,
         p.evictions,
-        p.readahead_hits,
-        p.readahead_misses,
-        io_overlap,
         p.strategy,
         partition_strategies,
         workers,
@@ -768,61 +750,31 @@ fn main() {
             speedup,
         ));
     }
-    // The external shape: same input and plan, one run synchronous and one
-    // with the background I/O scheduler, so the JSON records what the
-    // overlap buys. The limit sits below the intermediate size (half the
-    // input bytes) but above the operator's pinned floor, so spilling is
+    // The external shape. The limit sits below the intermediate size (half
+    // the input bytes) but above the operator's pinned floor, so spilling is
     // mandatory on real row counts while tiny CI smoke runs still complete.
     // Over-partition (64 partitions) so each partition is a small fraction
-    // of the limit: phase 2's read-ahead window (current partition + depth)
-    // must fit in memory, or prefetched pages get evicted again before use.
-    let ext_limit = (ext.coll.approx_bytes() / 2).max(16 << 20);
-    let sync_setup = PoolSetup {
-        mem_limit: ext_limit,
+    // of the limit.
+    let ext_setup = PoolSetup {
+        mem_limit: (ext.coll.approx_bytes() / 2).max(16 << 20),
         page_size: 64 << 10,
-        io_writers: 0,
-        readahead_depth: 0,
         radix_bits: Some(6),
         direct_io: true,
         sorted_input: SortedInput::Detect,
     };
-    let async_setup = PoolSetup {
-        io_writers: 3,
-        readahead_depth: 2,
-        ..sync_setup
-    };
-    let sync_m = measure(&ext, args.threads, args.reps, &sync_setup);
-    let async_m = measure(&ext, args.threads, args.reps, &async_setup);
-    assert_eq!(
-        sync_m.groups, async_m.groups,
-        "external: sync and async disagree on group count"
-    );
-    let io_speedup = if async_m.total_secs > 0.0 {
-        sync_m.total_secs / async_m.total_secs
-    } else {
-        0.0
-    };
-    for (mode, m) in [("sync", &sync_m), ("async", &async_m)] {
-        table.push(vec![
-            ext.name.to_string(),
-            mode.to_string(),
-            format!("{:.1}", rate(m.rows_in, m.phase1_secs) / 1e6),
-            format!("{:.1}", rate(m.rows_in, m.phase2_secs) / 1e6),
-            if mode == "async" {
-                format!("{io_speedup:.2}x")
-            } else {
-                "1.00x".to_string()
-            },
-        ]);
-    }
+    let m = measure(&ext, args.threads, args.reps, &ext_setup);
+    table.push(vec![
+        ext.name.to_string(),
+        "sync".to_string(),
+        format!("{:.1}", rate(m.rows_in, m.phase1_secs) / 1e6),
+        format!("{:.1}", rate(m.rows_in, m.phase2_secs) / 1e6),
+        "-".to_string(),
+    ]);
     entries.push(format!(
-        "    {{\"workload\": \"external\", \"rows\": {}, \"groups\": {}, \
-         \"sync\": {}, \"async\": {}, \"io_speedup\": {:.3}}}",
-        sync_m.rows_in,
-        sync_m.groups,
-        json_measurement(&sync_m),
-        json_measurement(&async_m),
-        io_speedup,
+        "    {{\"workload\": \"external\", \"rows\": {}, \"groups\": {}, \"sync\": {}}}",
+        m.rows_in,
+        m.groups,
+        json_measurement(&m),
     ));
 
     print_table(&header, &table);

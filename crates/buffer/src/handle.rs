@@ -10,7 +10,7 @@ use crate::manager::BufferManager;
 use crate::raw::RawBuffer;
 use parking_lot::Mutex;
 use rexa_storage::{BlockId, DatabaseFile, SlotId, VarId};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
 
 /// What kind of data a block holds — determines spill behaviour and which
@@ -72,10 +72,6 @@ pub struct BlockHandle {
     /// with a stale sequence number are skipped (DuckDB's scheme for a
     /// lock-free LRU approximation).
     pub(crate) seq: AtomicU64,
-    /// Set when a background read-ahead loaded this block; consumed by the
-    /// next pin to classify it as a read-ahead hit (still loaded) or miss
-    /// (evicted again before use).
-    pub(crate) prefetched: AtomicBool,
     pub(crate) mgr: Weak<BufferManager>,
 }
 
@@ -138,6 +134,9 @@ pub struct PinGuard {
 // SAFETY: the pointer targets a buffer kept alive by `handle`; cross-thread
 // content synchronization is the pin holder's contract (see `slice_mut`).
 unsafe impl Send for PinGuard {}
+// SAFETY: as for `Send`: every `&self` method either only reads the pointer
+// value or states, in its `# Safety` section, the access discipline its
+// caller upholds.
 unsafe impl Sync for PinGuard {}
 
 impl PinGuard {
@@ -168,6 +167,8 @@ impl PinGuard {
     /// # Safety
     /// No thread may be concurrently writing to the page.
     pub unsafe fn slice(&self) -> &[u8] {
+        // SAFETY: `ptr..ptr + len` is one live allocation while this pin
+        // holds it resident; the caller rules out concurrent writers.
         std::slice::from_raw_parts(self.ptr, self.len)
     }
 
@@ -180,6 +181,8 @@ impl PinGuard {
     /// during phase two each partition belongs to exactly one task.
     #[allow(clippy::mut_from_ref)]
     pub unsafe fn slice_mut(&self) -> &mut [u8] {
+        // SAFETY: `ptr..ptr + len` is one live allocation while this pin
+        // holds it resident; the caller guarantees exclusive access.
         std::slice::from_raw_parts_mut(self.ptr, self.len)
     }
 
@@ -195,7 +198,8 @@ impl PinGuard {
     /// Copy `out.len()` bytes from the page at `offset` (bounds-checked).
     pub fn read_at(&self, offset: usize, out: &mut [u8]) {
         assert!(offset + out.len() <= self.len, "read out of bounds");
-        // SAFETY: in-bounds.
+        // SAFETY: in-bounds (asserted above); concurrent access discipline
+        // per `slice`.
         unsafe {
             std::ptr::copy_nonoverlapping(self.ptr.add(offset), out.as_mut_ptr(), out.len());
         }

@@ -31,9 +31,10 @@
 //! persistent pages, so the persistent/temporary interplay of the paper's
 //! Figure 4 can be reproduced.
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 pub mod eviction;
 pub mod handle;
-mod io_sched;
 pub mod manager;
 pub mod raw;
 pub mod stats;

@@ -2,15 +2,14 @@
 
 use crate::eviction::{EvictionPolicy, EvictionQueues, QueueEntry};
 use crate::handle::{BlockHandle, BufferTag, DiskLocation, PinGuard, Residency};
-use crate::io_sched::IoScheduler;
 use crate::raw::RawBuffer;
 use crate::stats::BufferStats;
 use parking_lot::Mutex;
 use rexa_exec::{Error, Result};
-use rexa_obs::{Counter, EventTrace, MetricsRegistry, SpanCollector, TraceEventKind};
+use rexa_obs::{Counter, EventTrace, MetricsRegistry, TraceEventKind};
 use rexa_storage::{BlockId, DatabaseFile, IoBackend, StdIo, TempFileManager, DEFAULT_PAGE_SIZE};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::Duration;
 
@@ -48,28 +47,15 @@ pub struct BufferManagerConfig {
     /// Event trace for slow-path forensics (spills, evictions,
     /// retry/backoff, degradation decisions). `None` disables tracing.
     pub trace: Option<EventTrace>,
-    /// Background I/O worker threads. `0` (the default) keeps every spill
-    /// and reload synchronous on the evicting/pinning thread. A positive
-    /// count turns eviction spills into background writes and enables
-    /// [`BufferManager::prefetch`] read-ahead.
-    pub io_writers: usize,
-    /// Bound on bytes of spill writes submitted but not yet durably
-    /// complete (their reservations are still accounted). `0` (the
-    /// default) auto-sizes to `io_writers * 16 * page_size` — deep enough
-    /// that submission pipelines instead of ping-ponging on the scheduler,
-    /// shallow enough to bound the memory held hostage by queued writes.
-    /// One write is always admissible, so an oversized buffer cannot stall
-    /// eviction.
-    pub io_inflight_bytes: usize,
     /// Open the slotted temp spill file with direct I/O (`O_DIRECT` on
     /// Linux; buffered fallback elsewhere and on filesystems that reject
     /// it): spill writes and reloads go straight to the device instead of
     /// through the page cache. Spilled pages are re-read at most once, so
     /// double-buffering them (pool + page cache) wastes memory the limit
     /// is supposed to cap; direct I/O also exposes the device's real
-    /// latency — the cost the background writers (`io_writers`) and
-    /// phase-2 read-ahead take off the compute threads. Requires a page
-    /// size that is a multiple of 4 KiB. Default: off.
+    /// latency, which every spill write and reload pays inline on the
+    /// evicting or pinning thread. Requires a page size that is a multiple
+    /// of 4 KiB. Default: off.
     pub temp_direct_io: bool,
 }
 
@@ -87,8 +73,6 @@ impl BufferManagerConfig {
             spill_backoff: Duration::from_millis(1),
             metrics: None,
             trace: None,
-            io_writers: 0,
-            io_inflight_bytes: 0,
             temp_direct_io: false,
         }
     }
@@ -142,18 +126,6 @@ impl BufferManagerConfig {
         self
     }
 
-    /// Builder-style override of the background I/O worker count.
-    pub fn io_writers(mut self, writers: usize) -> Self {
-        self.io_writers = writers;
-        self
-    }
-
-    /// Builder-style override of the in-flight background-write byte bound.
-    pub fn io_inflight_bytes(mut self, bytes: usize) -> Self {
-        self.io_inflight_bytes = bytes;
-        self
-    }
-
     /// Builder-style: open the temp spill file with direct I/O (`O_DIRECT`).
     pub fn temp_direct_io(mut self, on: bool) -> Self {
         self.temp_direct_io = on;
@@ -171,10 +143,6 @@ struct Counters {
     allocations: Counter,
     spill_retries: Counter,
     spill_failures: Counter,
-    readahead_hits: Counter,
-    readahead_misses: Counter,
-    bg_write_nanos: Counter,
-    readahead_nanos: Counter,
 }
 
 impl Counters {
@@ -204,24 +172,6 @@ impl Counters {
                 "rexa_spill_failures_total",
                 "Spills abandoned with a typed SpillFailed error.",
             ),
-            readahead_hits: reg.counter(
-                "rexa_readahead_hits_total",
-                "Pins that found their block resident thanks to read-ahead.",
-            ),
-            readahead_misses: reg.counter(
-                "rexa_readahead_misses_total",
-                "Read-ahead attempts that did not help (no memory headroom, \
-                 read failure, or the page was evicted again before use).",
-            ),
-            bg_write_nanos: reg.counter(
-                "rexa_bg_write_nanos_total",
-                "Nanoseconds spent in background spill writes (I/O overlapped \
-                 with computation).",
-            ),
-            readahead_nanos: reg.counter(
-                "rexa_readahead_nanos_total",
-                "Nanoseconds spent in background read-ahead loads.",
-            ),
         }
     }
 }
@@ -243,18 +193,6 @@ fn cat_of(tag: BufferTag) -> MemCat {
     } else {
         MemCat::Persistent
     }
-}
-
-/// What one pass of the asynchronous eviction path achieved.
-enum EvictProgress {
-    /// A persistent page was freed inline; memory was released.
-    Freed,
-    /// A victim was handed to the writer pool; memory frees on completion.
-    Submitted,
-    /// The in-flight write bound is full; wait for a completion.
-    InflightFull,
-    /// No evictable candidates remain.
-    QueueEmpty,
 }
 
 /// All memory gauges behind one lock: admission, release, and
@@ -328,13 +266,6 @@ pub struct BufferManager {
     /// Serializes eviction scans so concurrent reservations do not race each
     /// other through the queue and over-evict.
     evict_lock: Mutex<()>,
-    /// Background spill-writer / read-ahead pool; `None` keeps all I/O
-    /// synchronous (the default).
-    io_sched: Option<IoScheduler>,
-    /// Span sink for the query currently tracing this manager's background
-    /// I/O. Weak so a finished query's collector (and its buffers) is
-    /// released even if nobody detaches; the I/O workers upgrade per job.
-    span_sink: Mutex<Weak<SpanCollector>>,
     weak_self: Weak<BufferManager>,
 }
 
@@ -359,41 +290,21 @@ impl BufferManager {
         )?
         .with_direct_io(config.temp_direct_io);
         let counters = Counters::register(&metrics);
-        Ok(Arc::new_cyclic(|weak| {
-            let io_sched = (config.io_writers > 0).then(|| {
-                let inflight = if config.io_inflight_bytes > 0 {
-                    config.io_inflight_bytes
-                } else {
-                    config.io_writers * 16 * config.page_size
-                };
-                IoScheduler::start(
-                    config.io_writers,
-                    inflight,
-                    weak.clone(),
-                    metrics.gauge(
-                        "rexa_io_queue_depth",
-                        "Background I/O jobs queued or in flight.",
-                    ),
-                )
-            });
-            BufferManager {
-                page_size: config.page_size,
-                accounting: Mutex::new(Accounting {
-                    limit: config.memory_limit,
-                    ..Accounting::default()
-                }),
-                temp,
-                queues: EvictionQueues::new(config.policy),
-                counters,
-                metrics,
-                trace: config.trace,
-                spill_retries: config.spill_retries,
-                spill_backoff: config.spill_backoff,
-                evict_lock: Mutex::new(()),
-                io_sched,
-                span_sink: Mutex::new(Weak::new()),
-                weak_self: weak.clone(),
-            }
+        Ok(Arc::new_cyclic(|weak| BufferManager {
+            page_size: config.page_size,
+            accounting: Mutex::new(Accounting {
+                limit: config.memory_limit,
+                ..Accounting::default()
+            }),
+            temp,
+            queues: EvictionQueues::new(config.policy),
+            counters,
+            metrics,
+            trace: config.trace,
+            spill_retries: config.spill_retries,
+            spill_backoff: config.spill_backoff,
+            evict_lock: Mutex::new(()),
+            weak_self: weak.clone(),
         }))
     }
 
@@ -407,22 +318,6 @@ impl BufferManager {
     /// The attached event trace, if any.
     pub fn trace(&self) -> Option<&EventTrace> {
         self.trace.as_ref()
-    }
-
-    /// Attach a span collector for the duration of a traced query: the
-    /// background I/O workers record spill writes and read-ahead loads as
-    /// async spans into it. Only a [`Weak`] is kept — when the query's
-    /// collector is dropped the sink expires on its own, so there is no
-    /// mandatory detach step (and an untraced query pays one `Weak`
-    /// upgrade-failure per background job at most).
-    pub fn attach_spans(&self, spans: &Arc<SpanCollector>) {
-        *self.span_sink.lock() = Arc::downgrade(spans);
-    }
-
-    /// The span collector of the query currently tracing this manager's
-    /// background I/O, if one is attached and still alive.
-    pub fn span_collector(&self) -> Option<Arc<SpanCollector>> {
-        self.span_sink.lock().upgrade()
     }
 
     /// The configured page size.
@@ -498,10 +393,8 @@ impl BufferManager {
             allocations: self.counters.allocations.get(),
             spill_retries: self.counters.spill_retries.get(),
             spill_failures: self.counters.spill_failures.get(),
-            readahead_hits: self.counters.readahead_hits.get(),
-            readahead_misses: self.counters.readahead_misses.get(),
-            bg_write_nanos: self.counters.bg_write_nanos.get(),
-            readahead_nanos: self.counters.readahead_nanos.get(),
+            readahead_hits: 0,
+            readahead_misses: 0,
         }
     }
 
@@ -525,9 +418,6 @@ impl BufferManager {
         cat: MemCat,
         allow_reuse: bool,
     ) -> Result<Option<RawBuffer>> {
-        if self.io_sched.is_some() {
-            return self.reserve_bytes_async(size, cat);
-        }
         loop {
             if self.accounting.lock().admit(size, cat) {
                 return Ok(None);
@@ -657,9 +547,11 @@ impl BufferManager {
             if handle.pins.load(Ordering::Acquire) != 0 {
                 continue; // raced with a pin
             }
-            let Residency::Loaded(_) = &*state else {
+            let Residency::Loaded(buf) = &*state else {
                 continue; // already evicted
             };
+            // SAFETY: unpinned and state-locked: no concurrent writer.
+            let bytes = unsafe { buf.slice() };
             // Spill temporaries before releasing the buffer.
             let spilled = match handle.tag {
                 BufferTag::Persistent => {
@@ -669,24 +561,12 @@ impl BufferManager {
                         .ok_or_else(|| Error::Internal("persistent block without id".into()))
                         .map(DiskLocation::Database)
                 }
-                BufferTag::TempFixed => {
-                    let Residency::Loaded(buf) = &*state else {
-                        unreachable!()
-                    };
-                    // SAFETY: unpinned and state-locked: no concurrent writer.
-                    self.spill_with_retry(buf.len(), || {
-                        self.temp.write_slot(unsafe { buf.slice() })
-                    })
-                    .map(DiskLocation::TempSlot)
-                }
-                BufferTag::TempVariable => {
-                    let Residency::Loaded(buf) = &*state else {
-                        unreachable!()
-                    };
-                    // SAFETY: as above.
-                    self.spill_with_retry(buf.len(), || self.temp.write_var(unsafe { buf.slice() }))
-                        .map(DiskLocation::TempVar)
-                }
+                BufferTag::TempFixed => self
+                    .spill_with_retry(bytes.len(), || self.temp.write_slot(bytes))
+                    .map(DiskLocation::TempSlot),
+                BufferTag::TempVariable => self
+                    .spill_with_retry(bytes.len(), || self.temp.write_var(bytes))
+                    .map(DiskLocation::TempVar),
             };
             let loc = match spilled {
                 Ok(loc) => {
@@ -726,328 +606,6 @@ impl BufferManager {
             return Ok(Some((buf, handle.tag)));
         }
         Ok(None)
-    }
-
-    // ---- background I/O ---------------------------------------------------
-
-    /// The reservation loop when a background I/O scheduler is attached:
-    /// instead of spilling victims inline, submit them to the writer pool
-    /// and keep the pipeline full up to the in-flight byte bound. Victim
-    /// bytes stay accounted until their write completes, so `used` never
-    /// runs ahead of the disk. Deferred background-write errors surface
-    /// here, on the next reservation after the failure.
-    fn reserve_bytes_async(&self, size: usize, cat: MemCat) -> Result<Option<RawBuffer>> {
-        let sched = self.io_sched.as_ref().expect("async reserve w/o scheduler");
-        loop {
-            if let Some(e) = sched.take_error() {
-                return Err(e);
-            }
-            let (admitted, tight) = {
-                let mut a = self.accounting.lock();
-                let admitted = a.admit(size, cat);
-                (admitted, a.used + sched.inflight_limit() > a.limit)
-            };
-            if admitted {
-                if tight {
-                    self.write_behind(sched);
-                }
-                return Ok(None);
-            }
-            let progress = {
-                let _guard = self.evict_lock.lock();
-                self.submit_one_eviction(sched)?
-            };
-            match progress {
-                EvictProgress::Freed | EvictProgress::Submitted => continue,
-                EvictProgress::InflightFull => sched.wait_event(),
-                EvictProgress::QueueEmpty => {
-                    if sched.has_pending() {
-                        // All evictable blocks are already in flight: wait
-                        // for a completion to free memory (or report an
-                        // error) and re-check.
-                        sched.wait_event();
-                        continue;
-                    }
-                    if let Some(e) = sched.take_error() {
-                        return Err(e);
-                    }
-                    let (limit, used_now) = {
-                        let mut a = self.accounting.lock();
-                        if a.admit(size, cat) {
-                            return Ok(None);
-                        }
-                        (a.limit, a.used)
-                    };
-                    return Err(Error::OutOfMemory {
-                        requested: size,
-                        limit,
-                        used: used_now,
-                    });
-                }
-            }
-        }
-    }
-
-    /// Proactive background cleaning ("write-behind"): once a reservation
-    /// has been admitted but the remaining headroom is smaller than the
-    /// scheduler's in-flight write bound, start submitting victims *now* so
-    /// the next reservation finds freed bytes instead of paying a spill
-    /// write on its critical path. Purely reactive submission degenerates
-    /// to synchronous spilling with extra hops — the overlap comes from
-    /// cleaning while the compute threads still have runway. Never blocks
-    /// the caller: bails out if another thread is already evicting, and
-    /// stops at the in-flight bound. Write failures are deferred exactly
-    /// like reactive submissions.
-    fn write_behind(&self, sched: &IoScheduler) {
-        let Some(_guard) = self.evict_lock.try_lock() else {
-            return;
-        };
-        loop {
-            {
-                let a = self.accounting.lock();
-                if a.used + sched.inflight_limit() <= a.limit {
-                    return;
-                }
-            }
-            match self.submit_one_eviction(sched) {
-                Ok(EvictProgress::Freed | EvictProgress::Submitted) => continue,
-                Ok(EvictProgress::InflightFull | EvictProgress::QueueEmpty) | Err(_) => return,
-            }
-        }
-    }
-
-    /// Pop eviction candidates until one makes progress: persistent pages
-    /// are freed inline (no I/O), temporary pages are submitted to the
-    /// writer pool. Must be called under `evict_lock`.
-    fn submit_one_eviction(&self, sched: &IoScheduler) -> Result<EvictProgress> {
-        while let Some(QueueEntry { block, seq }) = self.queues.pop() {
-            let Some(handle) = block.upgrade() else {
-                continue;
-            };
-            if handle.seq.load(Ordering::Acquire) != seq {
-                continue;
-            }
-            if handle.pins.load(Ordering::Acquire) != 0 {
-                continue;
-            }
-            if handle.tag == BufferTag::Persistent {
-                // Free: the database file already has the page. Same inline
-                // transition as the synchronous path.
-                let mut state = handle.state.lock();
-                if handle.pins.load(Ordering::Acquire) != 0 {
-                    continue;
-                }
-                let Residency::Loaded(_) = &*state else {
-                    continue;
-                };
-                let id = handle
-                    .persistent_id()
-                    .ok_or_else(|| Error::Internal("persistent block without id".into()))?;
-                let old =
-                    std::mem::replace(&mut *state, Residency::OnDisk(DiskLocation::Database(id)));
-                drop(state);
-                self.counters.evictions_persistent.incr();
-                if let Some(trace) = &self.trace {
-                    trace.record(TraceEventKind::Eviction {
-                        bytes: handle.size as u64,
-                        temporary: false,
-                    });
-                }
-                let Residency::Loaded(buf) = old else {
-                    unreachable!()
-                };
-                let freed = buf.len();
-                drop(buf);
-                self.release_bytes(freed, MemCat::Persistent);
-                return Ok(EvictProgress::Freed);
-            }
-            if !matches!(&*handle.state.lock(), Residency::Loaded(_)) {
-                continue; // already spilled
-            }
-            if !sched.try_submit_write(Arc::clone(&handle)) {
-                // In-flight bound reached: hand the candidate back and let
-                // the caller wait for a completion instead of queueing more
-                // memory than the bound allows.
-                self.queue_for_eviction(&handle);
-                return Ok(EvictProgress::InflightFull);
-            }
-            return Ok(EvictProgress::Submitted);
-        }
-        Ok(EvictProgress::QueueEmpty)
-    }
-
-    /// Background spill of one victim, run on an I/O worker thread. The
-    /// state lock is held across the write (exactly like the synchronous
-    /// path), so a concurrent pin blocks until the block's fate is decided.
-    /// Returns the error to defer, if the write failed.
-    pub(crate) fn bg_spill(&self, handle: &Arc<BlockHandle>) -> Option<Error> {
-        let mut state = handle.state.lock();
-        if handle.pins.load(Ordering::Acquire) != 0 {
-            return None; // re-pinned since selection; its next unpin re-enqueues
-        }
-        let Residency::Loaded(buf) = &*state else {
-            return None; // evicted by another path (e.g. set_memory_limit)
-        };
-        let t0 = std::time::Instant::now();
-        let spilled = match handle.tag {
-            BufferTag::Persistent => handle
-                .persistent_id()
-                .ok_or_else(|| Error::Internal("persistent block without id".into()))
-                .map(DiskLocation::Database),
-            BufferTag::TempFixed => {
-                // SAFETY: unpinned and state-locked: no concurrent writer.
-                self.spill_with_retry(buf.len(), || self.temp.write_slot(unsafe { buf.slice() }))
-                    .map(DiskLocation::TempSlot)
-            }
-            BufferTag::TempVariable => {
-                // SAFETY: as above.
-                self.spill_with_retry(buf.len(), || self.temp.write_var(unsafe { buf.slice() }))
-                    .map(DiskLocation::TempVar)
-            }
-        };
-        self.counters
-            .bg_write_nanos
-            .add(t0.elapsed().as_nanos() as u64);
-        match spilled {
-            Ok(loc) => {
-                let temporary = handle.tag.is_temporary();
-                let counter = if temporary {
-                    &self.counters.evictions_temporary
-                } else {
-                    &self.counters.evictions_persistent
-                };
-                counter.incr();
-                if let Some(trace) = &self.trace {
-                    if temporary {
-                        trace.record(TraceEventKind::Spill {
-                            bytes: handle.size as u64,
-                        });
-                    }
-                    trace.record(TraceEventKind::Eviction {
-                        bytes: handle.size as u64,
-                        temporary,
-                    });
-                }
-                let old = std::mem::replace(&mut *state, Residency::OnDisk(loc));
-                drop(state);
-                let Residency::Loaded(buf) = old else {
-                    unreachable!()
-                };
-                let freed = buf.len();
-                drop(buf);
-                // Only now — the write is durably complete — does the
-                // victim's reservation leave the accounting.
-                self.release_bytes(freed, cat_of(handle.tag));
-                None
-            }
-            Err(e) => {
-                // The block keeps its buffer and becomes evictable again;
-                // the typed error is deferred to the next foreground
-                // reservation (or drain), preserving the synchronous path's
-                // non-poisoning semantics.
-                drop(state);
-                self.queue_for_eviction(handle);
-                if let Some(trace) = &self.trace {
-                    trace.record(TraceEventKind::Degradation {
-                        detail: format!("background spill failed; error deferred: {e}"),
-                    });
-                }
-                Some(e)
-            }
-        }
-    }
-
-    /// Background read-ahead load of one spilled block, run on an I/O
-    /// worker thread. The caller ([`BufferManager::prefetch`]) already
-    /// admitted the bytes. Read failures are swallowed: read-ahead is
-    /// advisory, and the foreground pin re-issues the read synchronously
-    /// and surfaces the error itself.
-    pub(crate) fn bg_prefetch(&self, handle: &Arc<BlockHandle>) {
-        let cat = cat_of(handle.tag);
-        let mut state = handle.state.lock();
-        match &*state {
-            Residency::OnDisk(loc) => {
-                let buf = RawBuffer::alloc(handle.size);
-                let t0 = std::time::Instant::now();
-                // SAFETY: buffer not yet shared; exclusive during load.
-                let dst = unsafe { buf.slice_mut() };
-                let load = match loc {
-                    DiskLocation::Database(id) => match handle.db.as_ref() {
-                        Some((db, _)) => db.read_block(*id, dst),
-                        None => Err(Error::Internal("persistent block without file".into())),
-                    },
-                    DiskLocation::TempSlot(slot) => self.temp.read_slot(*slot, dst),
-                    DiskLocation::TempVar(var) => self.temp.read_var(*var, dst),
-                };
-                self.counters
-                    .readahead_nanos
-                    .add(t0.elapsed().as_nanos() as u64);
-                match load {
-                    Ok(()) => {
-                        *state = Residency::Loaded(buf);
-                        handle.prefetched.store(true, Ordering::Release);
-                        drop(state);
-                        // Loaded-but-unpinned: the block stays reclaimable
-                        // if memory pressure returns before the pin.
-                        self.queue_for_eviction(handle);
-                    }
-                    Err(_) => {
-                        drop(buf);
-                        drop(state);
-                        self.release_bytes(handle.size, cat);
-                        self.counters.readahead_misses.incr();
-                    }
-                }
-            }
-            _ => {
-                // Loaded meanwhile (raced with a foreground pin): give the
-                // reservation back; the resident copy is already paid for.
-                drop(state);
-                self.release_bytes(handle.size, cat);
-            }
-        }
-    }
-
-    /// Ask the I/O scheduler to load a spilled block back into
-    /// loaded-but-unpinned residency in the background, so a later pin is a
-    /// residency hit instead of a synchronous read.
-    ///
-    /// Read-ahead is strictly admission-bounded: it only proceeds when the
-    /// block's bytes fit under the limit *without* evicting anything —
-    /// prefetching must never steal working memory. Returns whether a load
-    /// was submitted. No-op (false) without an I/O scheduler
-    /// (`io_writers == 0`).
-    pub fn prefetch(&self, handle: &Arc<BlockHandle>) -> bool {
-        let Some(sched) = &self.io_sched else {
-            return false;
-        };
-        if handle.pins.load(Ordering::Acquire) != 0 || handle.is_loaded() {
-            return false;
-        }
-        let cat = cat_of(handle.tag);
-        if !self.accounting.lock().admit(handle.size, cat) {
-            self.counters.readahead_misses.incr();
-            return false;
-        }
-        sched.submit_read(Arc::clone(handle));
-        true
-    }
-
-    /// Wait for all background I/O to complete, then surface the first
-    /// deferred background-write error, if any. Queries fence on this after
-    /// their last buffer operation (on success *and* error paths) so a
-    /// deferred `SpillFailed` is attributed to the query whose eviction
-    /// triggered the write, and so final stats snapshots are quiescent.
-    /// No-op without an I/O scheduler.
-    pub fn drain_io(&self) -> Result<()> {
-        let Some(sched) = &self.io_sched else {
-            return Ok(());
-        };
-        sched.drain();
-        match sched.take_error() {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
     }
 
     /// Called from `BlockHandle::drop` for a still-resident block.
@@ -1096,7 +654,6 @@ impl BufferManager {
             state: Mutex::new(Residency::Loaded(buf)),
             pins: AtomicUsize::new(1),
             seq: AtomicU64::new(0),
-            prefetched: AtomicBool::new(false),
             mgr: self.weak_self.clone(),
         });
         let guard = PinGuard {
@@ -1130,7 +687,6 @@ impl BufferManager {
             state: Mutex::new(Residency::OnDisk(DiskLocation::Database(id))),
             pins: AtomicUsize::new(0),
             seq: AtomicU64::new(0),
-            prefetched: AtomicBool::new(false),
             mgr: self.weak_self.clone(),
         })
     }
@@ -1152,24 +708,11 @@ impl BufferManager {
         }
     }
 
-    /// Consume the handle's read-ahead marker, crediting a hit or a miss.
-    /// Cheap no-op when no scheduler is attached (the flag is never set).
-    fn note_readahead(&self, handle: &BlockHandle, hit: bool) {
-        if self.io_sched.is_some() && handle.prefetched.swap(false, Ordering::AcqRel) {
-            if hit {
-                self.counters.readahead_hits.incr();
-            } else {
-                self.counters.readahead_misses.incr();
-            }
-        }
-    }
-
     fn pin_inner(&self, handle: &Arc<BlockHandle>) -> Result<PinGuard> {
         // Fast path: already resident.
         {
             let state = handle.state.lock();
             if let Residency::Loaded(buf) = &*state {
-                self.note_readahead(handle, true);
                 return Ok(PinGuard {
                     handle: Arc::clone(handle),
                     ptr: buf.as_ptr(),
@@ -1185,7 +728,6 @@ impl BufferManager {
         match &*state {
             Residency::Loaded(buf) => {
                 // Another thread loaded it while we reserved: give back.
-                self.note_readahead(handle, true);
                 let ptr = buf.as_ptr();
                 match reused {
                     Some(buf) => {
@@ -1202,8 +744,6 @@ impl BufferManager {
                 })
             }
             Residency::OnDisk(loc) => {
-                // Prefetched but evicted again before we got here: a miss.
-                self.note_readahead(handle, false);
                 let buf = reused.unwrap_or_else(|| RawBuffer::alloc(handle.size));
                 // SAFETY: buffer not yet shared; exclusive during load.
                 let dst = unsafe { buf.slice_mut() };
@@ -1244,17 +784,6 @@ impl BufferManager {
             mgr: self.self_arc(),
             size,
         })
-    }
-}
-
-impl Drop for BufferManager {
-    fn drop(&mut self) {
-        // Stop the I/O workers before the manager's fields go away. Jobs
-        // still queued become no-ops (their weak manager reference no
-        // longer upgrades), and the blocks they hold clean up on drop.
-        if let Some(sched) = &self.io_sched {
-            sched.shutdown_and_join();
-        }
     }
 }
 
@@ -1849,124 +1378,6 @@ mod tests {
         let stats = mgr.stats();
         assert_eq!(stats.spill_retries, 2);
         assert_eq!(stats.spill_failures, 1);
-    }
-
-    fn async_mgr(limit_pages: usize, writers: usize) -> Arc<BufferManager> {
-        BufferManager::new(
-            BufferManagerConfig::with_limit(limit_pages * PAGE)
-                .page_size(PAGE)
-                .temp_dir(scratch_dir("mgr_async").unwrap())
-                .io_writers(writers),
-        )
-        .unwrap()
-    }
-
-    #[test]
-    fn background_spill_preserves_contents_and_accounting() {
-        let mgr = async_mgr(2, 2);
-        let mut handles = Vec::new();
-        for i in 0..8u8 {
-            let (h, p) = mgr.allocate_page().unwrap();
-            fill(&p, i);
-            drop(p);
-            handles.push(h);
-        }
-        mgr.drain_io().unwrap();
-        assert!(mgr.memory_used() <= mgr.memory_limit());
-        // Everything reloads with its contents intact.
-        for (i, h) in handles.iter().enumerate() {
-            check(&mgr.pin(h).unwrap(), i as u8);
-        }
-        drop(handles);
-        mgr.drain_io().unwrap();
-        assert_eq!(mgr.memory_used(), 0);
-        assert_eq!(mgr.stats().temp_bytes_on_disk, 0);
-    }
-
-    #[test]
-    fn background_spill_failure_is_deferred_and_typed() {
-        use rexa_storage::{FaultInjector, FaultKind, FaultRule, IoOp, Schedule};
-        let inj = Arc::new(FaultInjector::new(1).rule(FaultRule::on(
-            IoOp::Write,
-            Schedule::Always,
-            FaultKind::Enospc,
-        )));
-        inj.set_enabled(false);
-        let mgr = BufferManager::new(
-            BufferManagerConfig::with_limit(PAGE)
-                .page_size(PAGE)
-                .temp_dir(scratch_dir("mgr_async_fault").unwrap())
-                .io_backend(Arc::clone(&inj) as Arc<dyn IoBackend>)
-                .spill_backoff(Duration::from_micros(100))
-                .io_writers(1),
-        )
-        .unwrap();
-        let (h1, p1) = mgr.allocate_page().unwrap();
-        fill(&p1, 0x5A);
-        drop(p1);
-        inj.set_enabled(true);
-        // The next allocation submits h1 to the writer pool; the write
-        // fails in the background, and the waiting reservation surfaces
-        // the deferred typed error.
-        let err = mgr.allocate_page().unwrap_err();
-        match &err {
-            Error::SpillFailed { source, bytes, .. } => {
-                assert_eq!(source.raw_os_error(), Some(28));
-                assert_eq!(*bytes, PAGE);
-            }
-            other => panic!("expected SpillFailed, got {other}"),
-        }
-        // Non-poisoning: the victim kept its buffer, accounting is intact,
-        // and after the "disk" recovers the same block spills fine.
-        assert!(h1.is_loaded());
-        assert_eq!(mgr.memory_used(), PAGE);
-        assert_eq!(mgr.temp_slots_in_use(), 0);
-        inj.set_enabled(false);
-        let (_h2, p2) = mgr.allocate_page().unwrap();
-        mgr.drain_io().unwrap();
-        assert!(!h1.is_loaded(), "h1 evicted after recovery");
-        drop(p2);
-        check(&mgr.pin(&h1).unwrap(), 0x5A);
-    }
-
-    #[test]
-    fn prefetch_loads_in_background_and_pin_is_a_hit() {
-        let mgr = async_mgr(2, 1);
-        let (h1, p1) = mgr.allocate_page().unwrap();
-        fill(&p1, 0x7E);
-        drop(p1);
-        // Force h1 out, then free the memory again.
-        let (h2, p2) = mgr.allocate_page().unwrap();
-        let (h3, p3) = mgr.allocate_page().unwrap();
-        mgr.drain_io().unwrap();
-        assert!(!h1.is_loaded());
-        drop((p2, p3, h2, h3));
-        assert!(mgr.prefetch(&h1), "headroom available: load submitted");
-        mgr.drain_io().unwrap();
-        assert!(h1.is_loaded(), "prefetch left the block resident");
-        let stats = mgr.stats();
-        assert_eq!(stats.readahead_hits, 0, "no pin yet");
-        assert!(stats.readahead_nanos > 0);
-        check(&mgr.pin(&h1).unwrap(), 0x7E);
-        let stats = mgr.stats();
-        assert_eq!(stats.readahead_hits, 1);
-        assert_eq!(stats.readahead_misses, 0);
-    }
-
-    #[test]
-    fn prefetch_never_evicts_working_memory() {
-        let mgr = async_mgr(2, 1);
-        let (h1, p1) = mgr.allocate_page().unwrap();
-        drop(p1);
-        let (_h2, _p2) = mgr.allocate_page().unwrap();
-        let (_h3, _p3) = mgr.allocate_page().unwrap();
-        mgr.drain_io().unwrap();
-        assert!(!h1.is_loaded());
-        // Memory is full of pinned pages: the prefetch must refuse rather
-        // than evict, and count a miss.
-        assert!(!mgr.prefetch(&h1));
-        assert_eq!(mgr.stats().readahead_misses, 1);
-        assert!(!h1.is_loaded());
     }
 
     #[test]

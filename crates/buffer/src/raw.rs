@@ -28,6 +28,9 @@ pub struct RawBuffer {
 // SAFETY: RawBuffer owns its allocation; synchronization of *contents* is the
 // responsibility of the buffer manager's pin protocol.
 unsafe impl Send for RawBuffer {}
+// SAFETY: shared access only hands out the pointer value; reading or writing
+// through it goes through the slice accessors, whose callers uphold the pin
+// protocol (their `# Safety` sections).
 unsafe impl Sync for RawBuffer {}
 
 impl RawBuffer {
@@ -65,6 +68,8 @@ impl RawBuffer {
     /// # Safety
     /// No thread may be concurrently writing to the buffer.
     pub unsafe fn slice(&self) -> &[u8] {
+        // SAFETY: `ptr` owns `len` allocated bytes for `self`'s lifetime; the
+        // caller rules out concurrent writers.
         std::slice::from_raw_parts(self.ptr.as_ptr(), self.len)
     }
 
@@ -75,6 +80,8 @@ impl RawBuffer {
     /// lifetime of the returned slice.
     #[allow(clippy::mut_from_ref)]
     pub unsafe fn slice_mut(&self) -> &mut [u8] {
+        // SAFETY: `ptr` owns `len` allocated bytes for `self`'s lifetime; the
+        // caller guarantees no other access while the slice lives.
         std::slice::from_raw_parts_mut(self.ptr.as_ptr(), self.len)
     }
 }
@@ -101,6 +108,8 @@ mod tests {
     #[test]
     fn writes_are_visible() {
         let b = RawBuffer::alloc(128);
+        // SAFETY: `b` is local to this thread and each slice is dropped
+        // before the next is taken.
         unsafe {
             b.slice_mut()[7] = 42;
             assert_eq!(b.slice()[7], 42);

@@ -40,18 +40,13 @@ pub struct BufferStats {
     /// surfaced as an [`Error::SpillFailed`](rexa_exec::Error::SpillFailed)
     /// to the query that needed the memory).
     pub spill_failures: u64,
-    /// Pins that found their block already resident thanks to a background
-    /// read-ahead load (the pin that would have been a synchronous read).
+    /// Always 0: spill reloads are synchronous, so there is no read-ahead
+    /// to hit. Kept because the end-to-end benchmark's
+    /// `buffer.readahead_hit_ratio` reads it.
     pub readahead_hits: u64,
-    /// Read-ahead attempts that did not help: no memory headroom, the
-    /// background read failed, or the page was evicted again before use.
+    /// Always 0, for the same reason as
+    /// [`readahead_hits`](Self::readahead_hits).
     pub readahead_misses: u64,
-    /// Cumulative nanoseconds the background writers spent in spill writes
-    /// — I/O that overlapped with computation instead of stalling it.
-    pub bg_write_nanos: u64,
-    /// Cumulative nanoseconds the background readers spent in read-ahead
-    /// loads.
-    pub readahead_nanos: u64,
 }
 
 impl BufferStats {
@@ -75,8 +70,6 @@ impl BufferStats {
             spill_failures: self.spill_failures - earlier.spill_failures,
             readahead_hits: self.readahead_hits - earlier.readahead_hits,
             readahead_misses: self.readahead_misses - earlier.readahead_misses,
-            bg_write_nanos: self.bg_write_nanos - earlier.bg_write_nanos,
-            readahead_nanos: self.readahead_nanos - earlier.readahead_nanos,
         }
     }
 }

@@ -91,12 +91,6 @@ pub struct AggregateConfig {
     /// experimentally determined value is two-thirds (66); exposed for the
     /// reset-threshold ablation benchmark.
     pub reset_fill_percent: u32,
-    /// Partitions beyond the merge frontier whose spilled pages phase 2
-    /// prefetches in the background (0 disables read-ahead). Only effective
-    /// when the buffer manager runs background I/O workers
-    /// (`BufferManagerConfig::io_writers`); a synchronous manager ignores
-    /// prefetch requests.
-    pub readahead_depth: usize,
     /// Sorted-input handling for the in-stream fast path (see
     /// [`SortedInput`]). Whether any worker took it is recorded in the
     /// profile's `strategy` field.
@@ -113,7 +107,6 @@ impl Default for AggregateConfig {
             ht_capacity: 1 << 17,
             output_chunk_size: VECTOR_SIZE,
             reset_fill_percent: 66,
-            readahead_depth: 2,
             sorted_input: SortedInput::Detect,
         }
     }
@@ -973,22 +966,13 @@ fn finalize_hash_dedup(
     Ok(())
 }
 
-/// Phase-2 merge schedule: partition indices ordered by payload size,
-/// largest first (longest-processing-time-first). Radix partitioning over
-/// skewed keys produces wildly uneven partitions; claiming the giants first
-/// keeps them off the tail of the schedule, where a straggler would run
-/// alone while every other worker idles. Ties break on the lower index so
-/// the schedule is deterministic.
-fn lpt_order(sizes: &[usize]) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..sizes.len()).collect();
-    order.sort_by(|&a, &b| sizes[b].cmp(&sizes[a]).then(a.cmp(&b)));
-    order
-}
-
-/// Pick the next partition to merge from the ready list: the same policy as
-/// [`lpt_order`], applied incrementally as partitions become mergeable.
-/// Returns the *position* within `ready` of the largest entry (ties to the
-/// lower partition index, keeping the schedule deterministic).
+/// Phase-2 merge schedule: pick the next partition to merge from the ready
+/// list, largest payload first (longest-processing-time-first). Radix
+/// partitioning over skewed keys produces wildly uneven partitions; claiming
+/// the giants first keeps them off the tail of the schedule, where a
+/// straggler would run alone while every other worker idles. Returns the
+/// *position* within `ready` of the largest entry (ties to the lower
+/// partition index, keeping the schedule deterministic).
 fn lpt_claim(ready: &[(usize, usize)]) -> Option<usize> {
     let mut best: Option<usize> = None;
     for (k, &(bytes, p)) in ready.iter().enumerate() {
@@ -1010,7 +994,7 @@ fn lpt_claim(ready: &[(usize, usize)]) -> Option<usize> {
 /// Phase-1 → phase-2 handoff: instead of a hard barrier between the phases,
 /// every worker flushes its thread-local fragments partition by partition,
 /// and a partition whose *last* fragment lands becomes mergeable immediately
-/// — feeding the LPT/read-ahead merge schedule while slower workers are
+/// — feeding the LPT merge schedule while slower workers are
 /// still probing or flushing the rest.
 ///
 /// Built to survive the pool's saturation mode: [`ExecContext::run_units`]
@@ -1028,8 +1012,6 @@ struct PartitionHandoff {
     /// Mergeable partitions as `(payload bytes, partition index)`.
     ready: Mutex<Vec<(usize, usize)>>,
     ready_cv: Condvar,
-    /// Read-ahead marker per partition (first claimant warms it).
-    prefetched: Vec<AtomicBool>,
     /// A worker failed (error or panic): abandon all waiting.
     failed: AtomicBool,
     /// Worker bodies that have begun executing (see the type docs).
@@ -1037,11 +1019,9 @@ struct PartitionHandoff {
     /// Workers still probing: merge claims hold off until this is zero.
     probers: AtomicUsize,
     /// Workers that have not finished flushing. Zero means `ready` is
-    /// complete; the worker that takes it there stamps the phase-1 wall
-    /// and the mid-run buffer stats.
+    /// complete; the worker that takes it there stamps the phase-1 wall.
     flushers: AtomicUsize,
     phase1_nanos: AtomicU64,
-    stats_mid: Mutex<Option<BufferStats>>,
 }
 
 impl PartitionHandoff {
@@ -1063,13 +1043,11 @@ impl PartitionHandoff {
             pending: (0..partitions).map(|_| AtomicUsize::new(threads)).collect(),
             ready: Mutex::new(Vec::new()),
             ready_cv: Condvar::new(),
-            prefetched: (0..partitions).map(|_| AtomicBool::new(false)).collect(),
             failed: AtomicBool::new(false),
             started: AtomicUsize::new(0),
             probers: AtomicUsize::new(threads),
             flushers: AtomicUsize::new(threads),
             phase1_nanos: AtomicU64::new(0),
-            stats_mid: Mutex::new(None),
         }
     }
 
@@ -1177,14 +1155,8 @@ pub fn hash_aggregate_streaming_ctx(
     let ctx = &ctx_prof;
     collector.set_threads(config.threads);
     // Timeline tracing is strictly opt-in: with no collector on the
-    // context, every span site below is a skipped `Option` check. With
-    // one, the buffer manager's background I/O workers record into the
-    // same collector (via a weak sink), so spill/read-ahead overlap shows
-    // up on `io` tracks next to the compute tracks.
+    // context, every span site below is a skipped `Option` check.
     let spans = ctx.spans().cloned();
-    if let Some(sc) = &spans {
-        mgr.attach_spans(sc);
-    }
     let cbuf = spans.as_ref().map(|sc| sc.track("coordinator"));
     let t_run = Instant::now();
 
@@ -1201,308 +1173,252 @@ pub fn hash_aggregate_streaming_ctx(
     let threads_n = config.threads.max(1);
     let partitions = 1usize << radix_bits;
     let groups_out = AtomicUsize::new(0);
-    // Buffer stats at the probe/merge boundary, for attributing background
-    // I/O overlap to the right phase.
-    let mut stats_mid: Option<BufferStats> = None;
-    // Phases 1 and 2 run inside this immediately-invoked closure so that
-    // `drain_io` below executes on success *and* error paths: any deferred
-    // background-write error must surface to this query, and accounting must
-    // be back at baseline before the final stats delta is taken.
-    let run: Result<(Duration, Duration, usize, u64)> = (|| {
-        collector.set_phase(Phase::Probe);
-        collector.add_partitions(partitions as u64);
-        let handoff = PartitionHandoff::new(mgr, &bound.layout, partitions, threads_n);
-        let depth = config.readahead_depth;
-        let t0 = Instant::now();
-        let t0_ns = cbuf.as_ref().map(|b| b.now_ns());
-        // The unified worker body: probe morsels into thread-local state,
-        // flush fragments through the per-partition handoff,
-        // then merge whatever partitions are (or become) ready. There is no
-        // barrier: the first complete partition is merged while other
-        // workers still probe.
-        let worker = || -> Result<()> {
-            let wid = collector.begin_worker();
-            let sbuf = spans.as_ref().map(|sc| sc.track(format!("worker {wid}")));
-            let mut guard = FailGuard {
-                handoff: &handoff,
-                armed: true,
-            };
-            handoff.started.fetch_add(1, Ordering::AcqRel);
-            let t_worker = Instant::now();
-            let t_probe_ns = sbuf.as_ref().map(|b| b.now_ns());
-            let mut local = sink.local()?;
-            let mut reader = source.reader();
-            let mut chunks = 0u64;
-            let probe_res: Result<()> = (|| {
-                // Tracing-only morsel segmentation: one span per claimed
-                // morsel, one timestamp per chunk — skipped entirely when
-                // no collector is attached.
-                let mut m_seen = 0u64;
-                let mut m_start = 0u64;
-                while let Some(chunk) = reader.next()? {
-                    ctx.check_cancelled()?;
-                    let t_chunk = sbuf.as_ref().map(|b| b.now_ns());
-                    local.sink(chunk)?;
-                    chunks += 1;
-                    if let (Some(b), Some(t)) = (&sbuf, t_chunk) {
-                        let claimed = reader.morsels_claimed();
-                        if claimed != m_seen {
-                            if m_seen > 0 {
-                                b.complete_between(
-                                    "morsel",
-                                    span_cat::COMPUTE,
-                                    m_start,
-                                    t,
-                                    span::arg1("morsel", m_seen - 1),
-                                );
-                            }
-                            m_seen = claimed;
-                            m_start = t;
-                        }
-                    }
-                }
-                if let Some(b) = &sbuf {
-                    if m_seen > 0 {
-                        b.complete(
-                            "morsel",
-                            span_cat::COMPUTE,
-                            m_start,
-                            span::arg1("morsel", m_seen - 1),
-                        );
-                    }
-                }
-                Ok(())
-            })();
-            let morsels = reader.morsels_claimed();
-            drop(reader);
-            sink.rows_in.fetch_add(local.rows_in, Ordering::Relaxed);
-            sink.resets.fetch_add(local.resets, Ordering::Relaxed);
-            collector.record_worker_resets(wid, local.resets);
-            probe_res?;
-            if local.instream.is_some() {
-                sink.instream_used.store(true, Ordering::Relaxed);
-            }
-            local.data.release_pins();
-            if handoff.probers.fetch_sub(1, Ordering::AcqRel) == 1 {
-                // Probe pins are gone everywhere: wake merge waiters.
-                let _g = handoff.ready.lock();
-                handoff.ready_cv.notify_all();
-            }
-            if let (Some(b), Some(t)) = (&sbuf, t_probe_ns) {
-                b.complete(
-                    "probe",
-                    span_cat::COMPUTE,
-                    t,
-                    span::arg2("chunks", chunks, "morsels", morsels),
-                );
-            }
-            let t_flush_ns = sbuf.as_ref().map(|b| b.now_ns());
-            // Flush fragments partition by partition, staggered by worker
-            // id so concurrent flushes mostly touch different slot locks.
-            // The flush that completes a partition publishes it.
-            for k in 0..partitions {
-                let p = (k + wid) % partitions;
-                let frag = local.data.take_partition(p);
-                handoff.slots[p].lock().merge_from(frag);
-                if handoff.pending[p].fetch_sub(1, Ordering::AcqRel) == 1 {
-                    let bytes = handoff.slots[p].lock().data_bytes();
-                    let mut ready = handoff.ready.lock();
-                    ready.push((bytes, p));
-                    handoff.ready_cv.notify_one();
-                    if let Some(b) = &sbuf {
-                        b.instant(
-                            "publish",
-                            span_cat::COMPUTE,
-                            span::arg1("partition", p as u64),
-                        );
-                    }
-                }
-            }
-            if let (Some(b), Some(t)) = (&sbuf, t_flush_ns) {
-                b.complete(
-                    "flush",
-                    span_cat::COMPUTE,
-                    t,
-                    span::arg1("partitions", partitions as u64),
-                );
-            }
-            drop(local); // frees the probe table before merging starts
-            let probe_busy = t_worker.elapsed();
-            collector.add_busy_to(Phase::Probe, probe_busy);
-            collector.add_units_to(Phase::Probe, chunks);
-            collector.record_worker(wid, probe_busy, morsels, chunks);
-            if handoff.flushers.fetch_sub(1, Ordering::AcqRel) == 1 {
-                // Every fragment is flushed: phase 1 is over. Stamp its
-                // wall and the buffer stats snapshot that attributes
-                // background I/O overlap to the right phase.
-                handoff
-                    .phase1_nanos
-                    .store(t0.elapsed().as_nanos() as u64, Ordering::Release);
-                *handoff.stats_mid.lock() = Some(mgr.stats());
-                let _g = handoff.ready.lock();
-                handoff.ready_cv.notify_all();
-            }
-            // Merge loop: claim ready partitions (largest first) until the
-            // run drains — or until waiting would be unsound because not
-            // every worker body has started (saturated pool runs bodies
-            // sequentially; the final body drains the leftovers). Claims
-            // hold off while any worker is still *probing*: probe pages are
-            // pinned, and pinning phase-2 partitions on top of them would
-            // raise the peak pinned footprint past what admission promised.
-            // Flushed fragments are unpinned, so merging overlaps the
-            // remaining flush work freely.
-            let mut merge_busy = Duration::ZERO;
-            loop {
-                let claim = loop {
-                    if handoff.failed.load(Ordering::Acquire) {
-                        return Err(Error::Cancelled);
-                    }
-                    // Loaded *before* the ready lock: observing zero means
-                    // every flush (and its ready-publish) happens-before
-                    // this lock acquisition, so an empty list is final.
-                    let flushers_left = handoff.flushers.load(Ordering::Acquire);
-                    let probing = handoff.probers.load(Ordering::Acquire) > 0;
-                    let all_started = handoff.started.load(Ordering::Acquire) >= threads_n;
-                    let mut ready = handoff.ready.lock();
-                    if !probing {
-                        if let Some(k) = lpt_claim(&ready) {
-                            break Some(ready.swap_remove(k));
-                        }
-                    }
-                    if flushers_left == 0 || !all_started {
-                        break None;
-                    }
-                    let _timeout = handoff
-                        .ready_cv
-                        .wait_for(&mut ready, Duration::from_millis(5));
-                };
-                let Some((_, p)) = claim else { break };
-                let t_merge = Instant::now();
-                let t_merge_ns = sbuf.as_ref().map(|b| {
-                    b.instant(
-                        "claim",
-                        span_cat::COMPUTE,
-                        span::arg1("partition", p as u64),
-                    );
-                    b.now_ns()
-                });
-                // Read-ahead: warm the largest still-queued partitions so
-                // their spilled pages are resident by the time a worker
-                // claims them.
-                if depth > 0 {
-                    let snapshot: Vec<(usize, usize)> = handoff.ready.lock().clone();
-                    let sizes: Vec<usize> = snapshot.iter().map(|&(b, _)| b).collect();
-                    let mut warmed = 0usize;
-                    for pos in lpt_order(&sizes) {
-                        if warmed >= depth {
-                            break;
-                        }
-                        let pi = snapshot[pos].1;
-                        if !handoff.prefetched[pi].swap(true, Ordering::Relaxed) {
-                            handoff.slots[pi].lock().prefetch_all();
-                            warmed += 1;
-                        }
-                    }
-                }
-                let part = {
-                    let mut slot = handoff.slots[p].lock();
-                    std::mem::replace(
-                        &mut *slot,
-                        TupleDataCollection::new(Arc::clone(mgr), Arc::clone(&bound.layout)),
-                    )
-                };
-                collector.add_units_to(Phase::Merge, 1);
-                finalize_partition(
-                    &bound,
-                    mgr,
-                    config,
-                    ctx,
-                    p,
-                    part,
-                    consumer,
-                    &groups_out,
-                    sbuf.as_deref(),
-                )?;
-                if let (Some(b), Some(t)) = (&sbuf, t_merge_ns) {
-                    b.complete(
-                        "merge",
-                        span_cat::COMPUTE,
-                        t,
-                        span::arg1("partition", p as u64),
-                    );
-                }
-                merge_busy += t_merge.elapsed();
-            }
-            collector.add_busy_to(Phase::Merge, merge_busy);
-            guard.armed = false;
-            Ok(())
+    collector.set_phase(Phase::Probe);
+    collector.add_partitions(partitions as u64);
+    let handoff = PartitionHandoff::new(mgr, &bound.layout, partitions, threads_n);
+    let t0 = Instant::now();
+    let t0_ns = cbuf.as_ref().map(|b| b.now_ns());
+    // The unified worker body: probe morsels into thread-local state,
+    // flush fragments through the per-partition handoff,
+    // then merge whatever partitions are (or become) ready. There is no
+    // barrier: the first complete partition is merged while other
+    // workers still probe.
+    let worker = || -> Result<()> {
+        let wid = collector.begin_worker();
+        let sbuf = spans.as_ref().map(|sc| sc.track(format!("worker {wid}")));
+        let mut guard = FailGuard {
+            handoff: &handoff,
+            armed: true,
         };
-        if threads_n == 1 {
-            worker()?;
-        } else {
-            ctx.run_units(threads_n, &worker)?;
+        handoff.started.fetch_add(1, Ordering::AcqRel);
+        let t_worker = Instant::now();
+        let t_probe_ns = sbuf.as_ref().map(|b| b.now_ns());
+        let mut local = sink.local()?;
+        let mut reader = source.reader();
+        let mut chunks = 0u64;
+        let probe_res: Result<()> = (|| {
+            // Tracing-only morsel segmentation: one span per claimed
+            // morsel, one timestamp per chunk — skipped entirely when
+            // no collector is attached.
+            let mut m_seen = 0u64;
+            let mut m_start = 0u64;
+            while let Some(chunk) = reader.next()? {
+                ctx.check_cancelled()?;
+                let t_chunk = sbuf.as_ref().map(|b| b.now_ns());
+                local.sink(chunk)?;
+                chunks += 1;
+                if let (Some(b), Some(t)) = (&sbuf, t_chunk) {
+                    let claimed = reader.morsels_claimed();
+                    if claimed != m_seen {
+                        if m_seen > 0 {
+                            b.complete_between(
+                                "morsel",
+                                span_cat::COMPUTE,
+                                m_start,
+                                t,
+                                span::arg1("morsel", m_seen - 1),
+                            );
+                        }
+                        m_seen = claimed;
+                        m_start = t;
+                    }
+                }
+            }
+            if let Some(b) = &sbuf {
+                if m_seen > 0 {
+                    b.complete(
+                        "morsel",
+                        span_cat::COMPUTE,
+                        m_start,
+                        span::arg1("morsel", m_seen - 1),
+                    );
+                }
+            }
+            Ok(())
+        })();
+        let morsels = reader.morsels_claimed();
+        drop(reader);
+        sink.rows_in.fetch_add(local.rows_in, Ordering::Relaxed);
+        sink.resets.fetch_add(local.resets, Ordering::Relaxed);
+        collector.record_worker_resets(wid, local.resets);
+        probe_res?;
+        if local.instream.is_some() {
+            sink.instream_used.store(true, Ordering::Relaxed);
         }
-        // Phase walls under overlap: phase 1 ends when the last fragment
-        // flushes; everything after is merge. The old partition step is a
-        // per-partition handoff now — it has no wall of its own.
-        stats_mid = handoff.stats_mid.lock().take();
-        let phase1 = Duration::from_nanos(handoff.phase1_nanos.load(Ordering::Acquire));
-        let phase2 = t0.elapsed().saturating_sub(phase1);
-        collector.set_phase_wall(Phase::Probe, phase1);
-        collector.set_phase_wall(Phase::Partition, Duration::ZERO);
-        collector.set_phase_wall(Phase::Merge, phase2);
-        if let (Some(b), Some(t0n)) = (&cbuf, t0_ns) {
-            // Phase lanes on the coordinator track: the wall-clock extent
-            // of phase 1 (until the last fragment flushed) and phase 2,
-            // for orientation above the per-worker tracks.
-            let p1 = phase1.as_nanos() as u64;
-            let p2 = phase2.as_nanos() as u64;
-            b.complete_between("phase 1", span_cat::COMPUTE, t0n, t0n + p1, span::NO_ARGS);
-            b.complete_between(
-                "phase 2",
+        local.data.release_pins();
+        if handoff.probers.fetch_sub(1, Ordering::AcqRel) == 1 {
+            // Probe pins are gone everywhere: wake merge waiters.
+            let _g = handoff.ready.lock();
+            handoff.ready_cv.notify_all();
+        }
+        if let (Some(b), Some(t)) = (&sbuf, t_probe_ns) {
+            b.complete(
+                "probe",
                 span_cat::COMPUTE,
-                t0n + p1,
-                t0n + p1 + p2,
-                span::NO_ARGS,
+                t,
+                span::arg2("chunks", chunks, "morsels", morsels),
             );
         }
-        collector.set_strategy(if sink.instream_used.load(Ordering::Relaxed) {
-            "instream"
-        } else {
-            "thread_local"
-        });
-        let rows_in = sink.rows_in.load(Ordering::Relaxed);
-        let resets = sink.resets.load(Ordering::Relaxed);
-        Ok((phase1, phase2, rows_in, resets))
-    })();
-
-    // Wait out any in-flight background writes/reads: a deferred spill error
-    // belongs to this query, and the stats delta below must not race active
-    // I/O. The run's own error (if any) takes precedence.
-    let t_drain_ns = cbuf.as_ref().map(|b| b.now_ns());
-    let drained = mgr.drain_io();
-    if let (Some(b), Some(t)) = (&cbuf, t_drain_ns) {
-        b.complete("drain_io", span_cat::IO, t, span::NO_ARGS);
+        let t_flush_ns = sbuf.as_ref().map(|b| b.now_ns());
+        // Flush fragments partition by partition, staggered by worker
+        // id so concurrent flushes mostly touch different slot locks.
+        // The flush that completes a partition publishes it.
+        for k in 0..partitions {
+            let p = (k + wid) % partitions;
+            let frag = local.data.take_partition(p);
+            handoff.slots[p].lock().merge_from(frag);
+            if handoff.pending[p].fetch_sub(1, Ordering::AcqRel) == 1 {
+                let bytes = handoff.slots[p].lock().data_bytes();
+                let mut ready = handoff.ready.lock();
+                ready.push((bytes, p));
+                handoff.ready_cv.notify_one();
+                if let Some(b) = &sbuf {
+                    b.instant(
+                        "publish",
+                        span_cat::COMPUTE,
+                        span::arg1("partition", p as u64),
+                    );
+                }
+            }
+        }
+        if let (Some(b), Some(t)) = (&sbuf, t_flush_ns) {
+            b.complete(
+                "flush",
+                span_cat::COMPUTE,
+                t,
+                span::arg1("partitions", partitions as u64),
+            );
+        }
+        drop(local); // frees the probe table before merging starts
+        let probe_busy = t_worker.elapsed();
+        collector.add_busy_to(Phase::Probe, probe_busy);
+        collector.add_units_to(Phase::Probe, chunks);
+        collector.record_worker(wid, probe_busy, morsels, chunks);
+        if handoff.flushers.fetch_sub(1, Ordering::AcqRel) == 1 {
+            // Every fragment is flushed: phase 1 is over. Stamp its
+            // wall.
+            handoff
+                .phase1_nanos
+                .store(t0.elapsed().as_nanos() as u64, Ordering::Release);
+            let _g = handoff.ready.lock();
+            handoff.ready_cv.notify_all();
+        }
+        // Merge loop: claim ready partitions (largest first) until the
+        // run drains — or until waiting would be unsound because not
+        // every worker body has started (saturated pool runs bodies
+        // sequentially; the final body drains the leftovers). Claims
+        // hold off while any worker is still *probing*: probe pages are
+        // pinned, and pinning phase-2 partitions on top of them would
+        // raise the peak pinned footprint past what admission promised.
+        // Flushed fragments are unpinned, so merging overlaps the
+        // remaining flush work freely.
+        let mut merge_busy = Duration::ZERO;
+        loop {
+            let claim = loop {
+                if handoff.failed.load(Ordering::Acquire) {
+                    return Err(Error::Cancelled);
+                }
+                // Loaded *before* the ready lock: observing zero means
+                // every flush (and its ready-publish) happens-before
+                // this lock acquisition, so an empty list is final.
+                let flushers_left = handoff.flushers.load(Ordering::Acquire);
+                let probing = handoff.probers.load(Ordering::Acquire) > 0;
+                let all_started = handoff.started.load(Ordering::Acquire) >= threads_n;
+                let mut ready = handoff.ready.lock();
+                if !probing {
+                    if let Some(k) = lpt_claim(&ready) {
+                        break Some(ready.swap_remove(k));
+                    }
+                }
+                if flushers_left == 0 || !all_started {
+                    break None;
+                }
+                let _timeout = handoff
+                    .ready_cv
+                    .wait_for(&mut ready, Duration::from_millis(5));
+            };
+            let Some((_, p)) = claim else { break };
+            let t_merge = Instant::now();
+            let t_merge_ns = sbuf.as_ref().map(|b| {
+                b.instant(
+                    "claim",
+                    span_cat::COMPUTE,
+                    span::arg1("partition", p as u64),
+                );
+                b.now_ns()
+            });
+            let part = {
+                let mut slot = handoff.slots[p].lock();
+                std::mem::replace(
+                    &mut *slot,
+                    TupleDataCollection::new(Arc::clone(mgr), Arc::clone(&bound.layout)),
+                )
+            };
+            collector.add_units_to(Phase::Merge, 1);
+            finalize_partition(
+                &bound,
+                mgr,
+                config,
+                ctx,
+                p,
+                part,
+                consumer,
+                &groups_out,
+                sbuf.as_deref(),
+            )?;
+            if let (Some(b), Some(t)) = (&sbuf, t_merge_ns) {
+                b.complete(
+                    "merge",
+                    span_cat::COMPUTE,
+                    t,
+                    span::arg1("partition", p as u64),
+                );
+            }
+            merge_busy += t_merge.elapsed();
+        }
+        collector.add_busy_to(Phase::Merge, merge_busy);
+        guard.armed = false;
+        Ok(())
+    };
+    if threads_n == 1 {
+        worker()?;
+    } else {
+        ctx.run_units(threads_n, &worker)?;
     }
-    let (phase1, phase2, rows_in, resets) = run?;
-    drained?;
+    // Phase walls under overlap: phase 1 ends when the last fragment
+    // flushes; everything after is merge. The old partition step is a
+    // per-partition handoff now — it has no wall of its own.
+    let phase1 = Duration::from_nanos(handoff.phase1_nanos.load(Ordering::Acquire));
+    let phase2 = t0.elapsed().saturating_sub(phase1);
+    collector.set_phase_wall(Phase::Probe, phase1);
+    collector.set_phase_wall(Phase::Partition, Duration::ZERO);
+    collector.set_phase_wall(Phase::Merge, phase2);
+    if let (Some(b), Some(t0n)) = (&cbuf, t0_ns) {
+        // Phase lanes on the coordinator track: the wall-clock extent
+        // of phase 1 (until the last fragment flushed) and phase 2,
+        // for orientation above the per-worker tracks.
+        let p1 = phase1.as_nanos() as u64;
+        let p2 = phase2.as_nanos() as u64;
+        b.complete_between("phase 1", span_cat::COMPUTE, t0n, t0n + p1, span::NO_ARGS);
+        b.complete_between(
+            "phase 2",
+            span_cat::COMPUTE,
+            t0n + p1,
+            t0n + p1 + p2,
+            span::NO_ARGS,
+        );
+    }
+    collector.set_strategy(if sink.instream_used.load(Ordering::Relaxed) {
+        "instream"
+    } else {
+        "thread_local"
+    });
+    let rows_in = sink.rows_in.load(Ordering::Relaxed);
+    let resets = sink.resets.load(Ordering::Relaxed);
 
     let groups = groups_out.load(Ordering::Relaxed);
     let stats_after = mgr.stats();
     let buffer = stats_after.delta_since(&stats_before);
-    if let Some(mid) = &stats_mid {
-        // Background I/O that overlapped each phase: spill writes issued
-        // while the probe ran; writes plus read-ahead loads during the
-        // merge.
-        let d1 = mid.delta_since(&stats_before);
-        collector.set_phase_overlap(Phase::Probe, Duration::from_nanos(d1.bg_write_nanos));
-        let d2 = stats_after.delta_since(mid);
-        collector.set_phase_overlap(
-            Phase::Merge,
-            Duration::from_nanos(d2.bg_write_nanos + d2.readahead_nanos),
-        );
-    }
-    collector.set_readahead(buffer.readahead_hits, buffer.readahead_misses);
     collector.set_phase(Phase::Finalize);
     collector.add_rows_in(rows_in as u64);
     collector.add_groups(groups as u64);
@@ -1515,10 +1431,10 @@ pub fn hash_aggregate_streaming_ctx(
     );
     let mut profile = collector.finish("HASH_AGGREGATE (vectorized)", t_run.elapsed());
     if let Some(sc) = &spans {
-        // The workers have joined and `drain_io` waited out the background
-        // jobs, so every buffer for this query is quiescent: merge them
-        // into the profile. Non-destructive — a service collector carrying
-        // admission spans keeps them for its own export.
+        // The workers have joined, so every buffer for this query is
+        // quiescent: merge them into the profile. Non-destructive — a
+        // service collector carrying admission spans keeps them for its own
+        // export.
         profile.timeline = sc.merge();
     }
 
@@ -1660,7 +1576,13 @@ mod tests {
         // tail of near-empty partitions (what radix partitioning produces
         // over skewed keys).
         let sizes = [4096, 0, 786_432, 64, 8_388_608, 4096, 0, 131_072];
-        let order = lpt_order(&sizes);
+        // Drain the ready list the way the merge loop does: claim, remove
+        // with `swap_remove` (which reorders the list), repeat.
+        let mut ready: Vec<(usize, usize)> = sizes.iter().copied().zip(0..).collect();
+        let mut order = Vec::new();
+        while let Some(k) = lpt_claim(&ready) {
+            order.push(ready.swap_remove(k).1);
+        }
         assert_eq!(order, vec![4, 2, 7, 0, 5, 3, 1, 6]);
         // The schedule is a permutation, monotonically non-increasing in
         // size, with ties broken on the lower index (0 before 5, 1 before 6).
@@ -1670,8 +1592,8 @@ mod tests {
                 assert!(w[0] < w[1]);
             }
         }
-        assert!(lpt_order(&[]).is_empty());
-        assert_eq!(lpt_order(&[7]), vec![0]);
+        assert_eq!(lpt_claim(&[]), None);
+        assert_eq!(lpt_claim(&[(7, 0)]), Some(0));
     }
 
     #[test]
@@ -2321,55 +2243,6 @@ mod tests {
             report.contains(&format!("({} external)", p.partitions_external)),
             "{report}"
         );
-    }
-
-    #[test]
-    fn async_io_with_readahead_is_correct_and_registers_hits() {
-        // The spill-heavy geometry, but through a manager with background
-        // I/O workers: eviction writes happen off the worker threads and
-        // phase 2 prefetches upcoming partitions. Results must still match
-        // the reference oracle exactly, read-ahead must convert at least one
-        // synchronous reload into a background hit, and the overlap the
-        // profile reports must be real (nonzero merge-phase overlap).
-        let coll = make_input(60_000, 60_000, 9);
-        let mgr = BufferManager::new(
-            BufferManagerConfig::with_limit(coll.approx_bytes() / 2)
-                .page_size(4 << 10)
-                .policy(EvictionPolicy::Mixed)
-                .temp_dir(scratch_dir("agg_async").unwrap())
-                .io_writers(2),
-        )
-        .unwrap();
-        let plan = HashAggregatePlan {
-            group_cols: vec![0, 2],
-            aggregates: vec![AggregateSpec::count_star(), AggregateSpec::sum(1)],
-        };
-        let config = AggregateConfig {
-            threads: 4,
-            radix_bits: Some(5),
-            ht_capacity: 4 * VECTOR_SIZE,
-            readahead_depth: 2,
-            ..Default::default()
-        };
-        let stats = check_against_reference(&coll, &plan, &config, &mgr);
-        let p = &stats.profile;
-        assert!(
-            stats.buffer.temp_bytes_written > 0,
-            "the run must have spilled: {:?}",
-            stats.buffer
-        );
-        assert!(
-            p.readahead_hits > 0,
-            "phase-2 read-ahead produced no hits: {p:?}"
-        );
-        assert!(
-            !p.phases[Phase::Merge.index()].overlap.is_zero(),
-            "background reads during the merge must register as overlap"
-        );
-        // Everything the query touched is released again.
-        let s = mgr.stats();
-        assert_eq!(s.memory_used, 0, "accounting must return to zero: {s:?}");
-        assert_eq!(s.temp_bytes_on_disk, 0);
     }
 
     #[test]

@@ -323,8 +323,7 @@ impl ExecContext {
     }
 
     /// Attach a per-query span collector (builder style). Workers record
-    /// timeline spans (probe, flush, per-partition merge, background I/O)
-    /// into lock-free per-worker buffers; the operator merges them into
+    /// timeline spans (probe, flush, per-partition merge) into lock-free per-worker buffers; the operator merges them into
     /// `QueryProfile::timeline` at query end. When absent — the default —
     /// every instrumentation site is a skipped `Option` check and no
     /// timestamps are taken.

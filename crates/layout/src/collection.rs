@@ -150,27 +150,6 @@ impl TupleDataCollection {
                 .sum::<usize>()
     }
 
-    /// Ask the buffer manager to load this collection's spilled pages in the
-    /// background, so a later [`Self::pin_all`] finds them resident instead
-    /// of stalling on synchronous reads. Purely advisory: pages are only
-    /// loaded into free headroom (never by evicting working memory) and a
-    /// prefetch that cannot be admitted is simply skipped. Returns the number
-    /// of reads submitted.
-    pub fn prefetch_all(&self) -> usize {
-        let mut submitted = 0;
-        for p in &self.row_pages {
-            if self.mgr.prefetch(&p.handle) {
-                submitted += 1;
-            }
-        }
-        for h in &self.heap_pages {
-            if self.mgr.prefetch(&h.handle) {
-                submitted += 1;
-            }
-        }
-        submitted
-    }
-
     /// Heap bytes a value needs (non-inlined strings only).
     fn heap_need(cols: &[&Vector], var_cols: &[usize], row: usize) -> usize {
         let mut need = 0;

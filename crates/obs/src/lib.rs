@@ -19,8 +19,9 @@
 //!   a causal event log.
 //! * [`span`] — a per-query timeline: lock-free per-worker [`SpanBuffer`]s
 //!   collected by a [`SpanCollector`] and exported as Chrome trace-event
-//!   JSON for Perfetto, so spill/read-ahead overlap with compute is
-//!   visible on a real timeline instead of inferred from counters.
+//!   JSON for Perfetto, so the phase-1/phase-2 handoff and straggler
+//!   workers are visible on a real timeline instead of inferred from
+//!   counters.
 //!
 //! The crate depends only on `parking_lot` so every layer — exec, storage,
 //! buffer, layout, core, service — can depend on it without cycles.

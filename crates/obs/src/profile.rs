@@ -75,11 +75,6 @@ pub struct PhaseProfile {
     /// Work units (input chunks in phase 1, partitions in phase 2)
     /// executed.
     pub units: u64,
-    /// Background I/O time that ran concurrently with this phase's
-    /// computation (spill writes during the probe, spill writes plus
-    /// read-ahead loads during the merge) — latency hidden by the I/O
-    /// scheduler instead of stalling a worker.
-    pub overlap: Duration,
 }
 
 /// Per-worker phase-1 attribution: how much of the probe each worker
@@ -144,12 +139,6 @@ pub struct QueryProfile {
     pub spill_bytes_read: u64,
     pub spill_retries: u64,
     pub evictions: u64,
-    /// Pins that found their page already resident thanks to a background
-    /// read-ahead load.
-    pub readahead_hits: u64,
-    /// Read-ahead attempts that did not help (no headroom, read failed, or
-    /// the page was evicted again before use).
-    pub readahead_misses: u64,
     /// Span timeline merged from the per-worker buffers when a
     /// [`crate::span::SpanCollector`] was attached to the run; empty
     /// otherwise. Export with [`QueryProfile::chrome_trace_json`].
@@ -185,7 +174,7 @@ impl QueryProfile {
     /// ├─ partition/spill    busy 0.040s  partitions 64 (12 external)
     /// ├─ phase 2 · merge    wall 0.150s  busy 0.520s  partitions 64  groups 65536
     /// ├─ finalize/emit      busy 0.021s  rows_out 65536
-    /// └─ buffer             spill_bytes_written 13107200 (12.50 MiB)  spill_bytes_read 13107200  spill_retries 0  evictions 42  readahead_hits 12  readahead_misses 0
+    /// └─ buffer             spill_bytes_written 13107200 (12.50 MiB)  spill_bytes_read 13107200  spill_retries 0  evictions 42
     /// ```
     pub fn render(&self) -> String {
         let mut out = String::new();
@@ -201,9 +190,6 @@ impl QueryProfile {
                 let _ = write!(out, "  wall {}", fmt_secs(p.wall));
             }
             let _ = write!(out, "  busy {}", fmt_secs(p.busy));
-            if !p.overlap.is_zero() {
-                let _ = write!(out, "  io_overlap {}", fmt_secs(p.overlap));
-            }
             match phase {
                 Phase::Probe => {
                     let _ = write!(
@@ -249,15 +235,13 @@ impl QueryProfile {
         let _ = writeln!(
             out,
             "{buffer_glyph} buffer             spill_bytes_written {} ({})  spill_bytes_read {} ({})  \
-             spill_retries {}  evictions {}  readahead_hits {}  readahead_misses {}",
+             spill_retries {}  evictions {}",
             self.spill_bytes_written,
             fmt_bytes(self.spill_bytes_written),
             self.spill_bytes_read,
             fmt_bytes(self.spill_bytes_read),
             self.spill_retries,
             self.evictions,
-            self.readahead_hits,
-            self.readahead_misses,
         );
         if !self.timeline.is_empty() {
             let _ = writeln!(
@@ -288,7 +272,6 @@ pub struct ProfileCollector {
     current_phase: AtomicU8,
     phase_wall_nanos: [AtomicU64; PHASE_COUNT],
     phase_busy_nanos: [AtomicU64; PHASE_COUNT],
-    phase_overlap_nanos: [AtomicU64; PHASE_COUNT],
     phase_units: [AtomicU64; PHASE_COUNT],
     threads: AtomicUsize,
     rows_in: AtomicU64,
@@ -301,8 +284,6 @@ pub struct ProfileCollector {
     spill_bytes_read: AtomicU64,
     spill_retries: AtomicU64,
     evictions: AtomicU64,
-    readahead_hits: AtomicU64,
-    readahead_misses: AtomicU64,
     partition_merges: Mutex<Vec<PartitionMergeProfile>>,
     strategy: Mutex<String>,
     /// Dense worker-id allocator; ids are per-query, assigned at first use.
@@ -398,13 +379,6 @@ impl ProfileCollector {
         self.phase_wall_nanos[phase.index()].store(d.as_nanos() as u64, Ordering::Relaxed);
     }
 
-    /// Coordinator: record background I/O time that overlapped a phase's
-    /// computation (delta of the buffer manager's background write/read
-    /// nanosecond counters over the phase).
-    pub fn set_phase_overlap(&self, phase: Phase, d: Duration) {
-        self.phase_overlap_nanos[phase.index()].store(d.as_nanos() as u64, Ordering::Relaxed);
-    }
-
     pub fn set_threads(&self, n: usize) {
         self.threads.store(n, Ordering::Relaxed);
     }
@@ -450,20 +424,12 @@ impl ProfileCollector {
         self.evictions.store(evictions, Ordering::Relaxed);
     }
 
-    /// Coordinator: record the read-ahead outcome for the query (deltas of
-    /// the manager's hit/miss counters over the run).
-    pub fn set_readahead(&self, hits: u64, misses: u64) {
-        self.readahead_hits.store(hits, Ordering::Relaxed);
-        self.readahead_misses.store(misses, Ordering::Relaxed);
-    }
-
     /// Freeze the collected values into an immutable [`QueryProfile`].
     pub fn finish(&self, operator: impl Into<String>, wall: Duration) -> QueryProfile {
         let mut phases = [PhaseProfile::default(); PHASE_COUNT];
         for (i, p) in phases.iter_mut().enumerate() {
             p.wall = Duration::from_nanos(self.phase_wall_nanos[i].load(Ordering::Relaxed));
             p.busy = Duration::from_nanos(self.phase_busy_nanos[i].load(Ordering::Relaxed));
-            p.overlap = Duration::from_nanos(self.phase_overlap_nanos[i].load(Ordering::Relaxed));
             p.units = self.phase_units[i].load(Ordering::Relaxed);
         }
         let mut workers = self.workers.lock().clone();
@@ -488,8 +454,6 @@ impl ProfileCollector {
             spill_bytes_read: self.spill_bytes_read.load(Ordering::Relaxed),
             spill_retries: self.spill_retries.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
-            readahead_hits: self.readahead_hits.load(Ordering::Relaxed),
-            readahead_misses: self.readahead_misses.load(Ordering::Relaxed),
             timeline: SpanTimeline::default(),
         }
     }
@@ -573,8 +537,6 @@ mod tests {
         c.add_partitions(64);
         c.add_partitions_external(12);
         c.set_spill_io(13_107_200, 13_107_200, 0, 42);
-        c.set_readahead(11, 1);
-        c.set_phase_overlap(Phase::Merge, Duration::from_millis(90));
         let report = c
             .finish("HASH_AGGREGATE (vectorized)", Duration::from_millis(400))
             .render();
@@ -590,9 +552,6 @@ mod tests {
             "partitions 64 (12 external)",
             "spill_bytes_written 13107200 (12.50 MiB)",
             "evictions 42",
-            "readahead_hits 11",
-            "readahead_misses 1",
-            "io_overlap 0.090s",
             "wall 0.120s",
         ] {
             assert!(report.contains(needle), "missing {needle:?} in:\n{report}");

@@ -3,16 +3,14 @@
 //! Perfetto / `about://tracing`.
 //!
 //! The profile counters ([`crate::profile`]) say *how much* time each phase
-//! took; spans say *when* — which is the only way to see whether background
-//! spill writes actually overlapped the probe, whether the per-partition
-//! handoff fed the merge before the last flusher finished, and where a
-//! straggler worker sat idle. The design constraints:
+//! took; spans say *when* — which is the only way to see whether the
+//! per-partition handoff fed the merge before the last flusher finished,
+//! and where a straggler worker sat idle. The design constraints:
 //!
 //! * **Zero cost when detached.** Every instrumentation site is guarded by
-//!   an `Option` check on the context/manager; no collector means no
+//!   an `Option` check on the context; no collector means no
 //!   timestamps are taken and no records are written.
-//! * **Lock-free per-worker buffers.** Each worker (and each I/O thread)
-//!   records into its own fixed-capacity [`SpanBuffer`]: a slot is claimed
+//! * **Lock-free per-worker buffers.** Each worker records into its own fixed-capacity [`SpanBuffer`]: a slot is claimed
 //!   with one `fetch_add`, written, and published with one
 //!   compare-exchange — no mutex on the record path, no contention between
 //!   workers. Buffers are merged once, at query end.
@@ -42,9 +40,6 @@ pub const DEFAULT_SPAN_CAPACITY: usize = 8192;
 pub enum SpanKind {
     /// A duration on its thread's track (`ph: "X"`).
     Complete,
-    /// An async operation (`ph: "b"/"e"` pair): background I/O that
-    /// overlaps compute tracks.
-    Async,
     /// A zero-duration marker (`ph: "i"`).
     Instant,
 }
@@ -85,7 +80,7 @@ pub fn arg2(k1: &'static str, v1: u64, k2: &'static str, v2: u64) -> [(&'static 
 }
 
 /// A fixed-capacity, lock-free span buffer owned by one track (worker,
-/// I/O thread, coordinator, service). The designed use is single-writer:
+/// coordinator, service, SQL). The designed use is single-writer:
 /// the owning thread records, and the collector reads only at merge time.
 /// The publish protocol (`reserved` claim → slot write → `committed` bump)
 /// stays sound even if two threads share a buffer by mistake — a reader
@@ -191,26 +186,6 @@ impl SpanBuffer {
             kind: SpanKind::Complete,
             start_ns,
             dur_ns: end_ns.saturating_sub(start_ns),
-            args,
-        });
-    }
-
-    /// Record an async span (background I/O) that started at `start_ns`
-    /// and ends now.
-    pub fn complete_async(
-        &self,
-        name: &'static str,
-        cat: &'static str,
-        start_ns: u64,
-        args: [(&'static str, u64); 2],
-    ) {
-        let end = self.now_ns();
-        self.record(SpanRecord {
-            name,
-            cat,
-            kind: SpanKind::Async,
-            start_ns,
-            dur_ns: end.saturating_sub(start_ns),
             args,
         });
     }
@@ -427,10 +402,7 @@ fn write_args(out: &mut String, args: &[(&'static str, u64); 2]) {
 ///
 /// Track mapping: every track becomes a thread (`tid` = track index) of
 /// one process, named via `thread_name` metadata events. `Complete` spans
-/// are `ph:"X"` duration events; `Async` spans (background I/O) are
-/// `ph:"b"/"e"` pairs with unique ids so they render on their own async
-/// rows and visually overlap the compute tracks; `Instant` spans are
-/// `ph:"i"`. Timestamps are microseconds (Chrome's unit) from the
+/// are `ph:"X"` duration events; `Instant` spans are `ph:"i"`. Timestamps are microseconds (Chrome's unit) from the
 /// collector epoch.
 pub fn chrome_trace_json(timeline: &SpanTimeline) -> String {
     let mut out = String::with_capacity(256 + timeline.spans.len() * 128);
@@ -464,7 +436,6 @@ pub fn chrome_trace_json(timeline: &SpanTimeline) -> String {
              \"args\":{{\"sort_index\":{i}}}}}"
         );
     }
-    let mut async_id = 0u64;
     for s in &timeline.spans {
         let ts = s.start_ns as f64 / 1000.0;
         let dur = s.dur_ns as f64 / 1000.0;
@@ -481,26 +452,6 @@ pub fn chrome_trace_json(timeline: &SpanTimeline) -> String {
                 );
                 write_args(&mut out, &s.args);
                 out.push('}');
-            }
-            SpanKind::Async => {
-                async_id += 1;
-                push(&mut out, &mut first);
-                let _ = write!(
-                    out,
-                    "{{\"ph\":\"b\",\"pid\":1,\"tid\":{},\"id\":{async_id},\
-                     \"name\":\"{name}\",\"cat\":\"{cat}\",\"ts\":{ts:.3}",
-                    s.track
-                );
-                write_args(&mut out, &s.args);
-                out.push('}');
-                push(&mut out, &mut first);
-                let _ = write!(
-                    out,
-                    "{{\"ph\":\"e\",\"pid\":1,\"tid\":{},\"id\":{async_id},\
-                     \"name\":\"{name}\",\"cat\":\"{cat}\",\"ts\":{:.3}}}",
-                    s.track,
-                    ts + dur
-                );
             }
             SpanKind::Instant => {
                 push(&mut out, &mut first);
@@ -645,7 +596,7 @@ mod tests {
         let io = c.track("io 0");
         let t = w.now_ns();
         w.complete("probe", cat::COMPUTE, t, arg2("chunks", 3, "morsels", 1));
-        io.complete_async("spill_write", cat::IO, io.now_ns(), arg1("bytes", 4096));
+        io.instant("spill", cat::IO, arg1("bytes", 4096));
         w.instant("publish", cat::COMPUTE, arg1("partition", 5));
         let json = chrome_trace_json(&c.merge());
         // Well-formed enough for a JSON parser and for the CI validator.
@@ -656,8 +607,6 @@ mod tests {
             "\"name\":\"worker 0\"",
             "\"name\":\"io 0\"",
             "\"ph\":\"X\"",
-            "\"ph\":\"b\"",
-            "\"ph\":\"e\"",
             "\"ph\":\"i\"",
             "\"chunks\":3",
             "\"bytes\":4096",
@@ -665,10 +614,6 @@ mod tests {
         ] {
             assert!(json.contains(needle), "missing {needle} in:\n{json}");
         }
-        // Every async begin has a matching end (same count of b and e).
-        let b_count = json.matches("\"ph\":\"b\"").count();
-        let e_count = json.matches("\"ph\":\"e\"").count();
-        assert_eq!(b_count, e_count);
     }
 
     #[test]

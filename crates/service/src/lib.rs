@@ -210,9 +210,8 @@ pub struct QueryOptions {
     pub consumer: Option<Arc<dyn Fn(DataChunk) -> Result<()> + Send + Sync>>,
     /// Trace this query's timeline into the given collector: the service
     /// records admission spans (queue wait, memory reservation) and SQL
-    /// front-end spans, the operator records per-worker probe/flush/merge
-    /// spans, and the buffer manager's I/O workers record background
-    /// spill/read-ahead spans. Export the merged timeline from
+    /// front-end spans, and the operator records per-worker
+    /// probe/flush/merge spans. Export the merged timeline from
     /// `QueryOutput::stats.profile.chrome_trace_json()`. `None` (the
     /// default) disables tracing at zero cost.
     pub spans: Option<Arc<SpanCollector>>,

@@ -110,8 +110,7 @@ impl TempFileManager {
     /// device, bypassing the page cache. Spilled pages are re-read at most
     /// once, so caching them twice (buffer pool + page cache) wastes
     /// memory the limit is supposed to cap — and cache-absorbed spill I/O
-    /// hides the device latency that background spill writers and phase-2
-    /// read-ahead exist to overlap. Requires a page size that is a
+    /// hides the device latency the spilling query actually pays. Requires a page size that is a
     /// multiple of 4 KiB (callers' buffers are page-aligned by
     /// construction); otherwise, and on filesystems that reject
     /// `O_DIRECT`, the manager silently stays buffered.

@@ -11,8 +11,9 @@
 //!
 //! With `--trace-out PATH` the run records a span timeline and writes it as
 //! Chrome trace-event JSON — open it in Perfetto (<https://ui.perfetto.dev>)
-//! or `about://tracing` to see the background spill writes and phase-2
-//! read-ahead overlapping the probe and merge tracks.
+//! or `about://tracing` to see the per-worker probe, flush and merge spans
+//! and how the per-partition handoff starts merging before the last worker
+//! has flushed.
 
 use rexa_buffer::{BufferManager, BufferManagerConfig};
 use rexa_core::baselines::in_memory_aggregate;
@@ -71,13 +72,9 @@ fn main() -> rexa_exec::Result<()> {
     );
     // Geometry note: phase 1 keeps threads x partitions x 2 pages pinned
     // (the partition write heads), so pages and partitions are sized to
-    // leave most of the limit for data. Two background I/O workers overlap
-    // the spill writes with the probe and serve phase-2 read-ahead.
-    let mgr = BufferManager::new(
-        BufferManagerConfig::with_limit(limit)
-            .page_size(16 << 10)
-            .io_writers(2),
-    )?;
+    // leave most of the limit for data. Spill writes and reloads run
+    // synchronously on the evicting or pinning worker.
+    let mgr = BufferManager::new(BufferManagerConfig::with_limit(limit).page_size(16 << 10))?;
 
     let plan = HashAggregatePlan {
         group_cols: vec![0],
@@ -89,14 +86,12 @@ fn main() -> rexa_exec::Result<()> {
         ht_capacity: 1 << 14,
         output_chunk_size: VECTOR_SIZE,
         reset_fill_percent: 66,
-        readahead_depth: 2, // prefetch the next two partitions during merge
         ..Default::default()
     };
 
     // Robust engine: streams all groups, spilling as needed. With
     // `--trace-out` a span collector rides along on the ExecContext; the
-    // operator, the workers, and the background I/O threads all record onto
-    // it, and the merged timeline lands in `stats.profile.timeline`.
+    // operator and the workers record onto it, and the merged timeline lands in `stats.profile.timeline`.
     let spans = trace_out.as_ref().map(|_| SpanCollector::new());
     let mut ctx = ExecContext::new();
     if let Some(sc) = &spans {
@@ -122,8 +117,7 @@ fn main() -> rexa_exec::Result<()> {
     assert_eq!(groups.load(Ordering::Relaxed), rows as usize);
 
     // The per-query execution profile, EXPLAIN ANALYZE style. CI greps this
-    // report for nonzero spill_bytes_written to pin the spill path down and
-    // for nonzero readahead_hits to pin the phase-2 read-ahead down.
+    // report for nonzero spill_bytes_written to pin the spill path down.
     println!("\n{}", stats.profile.render());
 
     if let Some(path) = &trace_out {

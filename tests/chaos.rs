@@ -48,8 +48,6 @@ struct ChaosCase {
     threads: usize,
     radix_bits: u32,
     limit_kib: usize,
-    /// Background I/O writer threads (0 = the fully synchronous path).
-    io_writers: usize,
     injector_seed: u64,
     rules: Vec<RuleSpec>,
 }
@@ -94,32 +92,24 @@ fn case_strategy() -> impl Strategy<Value = ChaosCase> {
         0usize..3000, // rows
         1usize..6,    // threads
         0u32..4,      // radix bits
-        // memory limit KiB (tight enough to spill often) and background I/O
-        // writers (0 = synchronous)
-        (48usize..768, 0usize..3),
+        48usize..768, // memory limit KiB (tight enough to spill often)
         any::<u64>(), // injector seed
         prop::collection::vec(rule_strategy(), 1..4),
     )
         .prop_flat_map(
-            |(key_type, domain, n_rows, threads, radix_bits, (limit_kib, writers), seed, rules)| {
+            |(key_type, domain, n_rows, threads, radix_bits, limit_kib, seed, rules)| {
                 (
                     prop::collection::vec((0..domain, -1000i64..1000), n_rows),
-                    Just((
-                        key_type, threads, radix_bits, limit_kib, writers, seed, rules,
-                    )),
+                    Just((key_type, threads, radix_bits, limit_kib, seed, rules)),
                 )
                     .prop_map(
-                        |(
-                            rows,
-                            (key_type, threads, radix_bits, limit_kib, writers, seed, rules),
-                        )| {
+                        |(rows, (key_type, threads, radix_bits, limit_kib, seed, rules))| {
                             ChaosCase {
                                 key_type,
                                 rows,
                                 threads,
                                 radix_bits,
                                 limit_kib,
-                                io_writers: writers,
                                 injector_seed: seed,
                                 rules,
                             }
@@ -198,7 +188,6 @@ fn plan() -> HashAggregatePlan {
 
 fn chaos_mgr(
     limit_kib: usize,
-    io_writers: usize,
     injector: &Arc<FaultInjector>,
     registry: &Arc<MetricsRegistry>,
     trace: &EventTrace,
@@ -210,7 +199,6 @@ fn chaos_mgr(
             .io_backend(Arc::clone(injector) as Arc<dyn IoBackend>)
             .metrics(Arc::clone(registry))
             .trace(trace.clone())
-            .io_writers(io_writers)
             // Keep retries fast: transient faults may fire on every attempt.
             .spill_backoff(Duration::from_micros(200)),
     )
@@ -248,7 +236,7 @@ proptest! {
         let registry = MetricsRegistry::new();
         let trace = EventTrace::with_default_capacity();
         let injector = build_injector(&case, &registry, &trace);
-        let mgr = chaos_mgr(case.limit_kib, case.io_writers, &injector, &registry, &trace);
+        let mgr = chaos_mgr(case.limit_kib, &injector, &registry, &trace);
         let baseline = mgr.stats();
         let config = AggregateConfig {
             threads: case.threads,
@@ -366,7 +354,7 @@ fn total_enospc_on_spill_writes_fails_spilling_queries_typed() {
     // 1.5 MiB: above the operator's pinned floor (threads x partitions x 2
     // pages + hash-table reservations) but far below the ~4 MiB of
     // intermediates, so spilling is mandatory.
-    let mgr = chaos_mgr(1536, 0, &injector, &registry, &trace);
+    let mgr = chaos_mgr(1536, &injector, &registry, &trace);
     let baseline = mgr.stats();
     let plan = plan();
     let config = AggregateConfig {
@@ -445,97 +433,6 @@ fn total_enospc_on_spill_writes_fails_spilling_queries_typed() {
     assert_eq!(s.temp_bytes_on_disk, 0);
 }
 
-/// Background spill writers with injected write faults: the failure happens
-/// on an I/O worker thread, far from any query code, so it is *deferred* —
-/// parked in the scheduler and surfaced as a typed `SpillFailed` on the next
-/// foreground allocation of the query that needed the memory. The failure
-/// must leave accounting at baseline, leave a Degradation trace event
-/// recording the deferral, and must never poison later queries on the same
-/// manager.
-#[test]
-fn background_write_faults_surface_deferred_and_typed() {
-    let registry = MetricsRegistry::new();
-    let trace = EventTrace::with_default_capacity();
-    let injector = Arc::new(
-        FaultInjector::new(0xBADD15C)
-            .with_metrics(&registry)
-            .with_trace(trace.clone())
-            .rule(FaultRule::on(
-                IoOp::Write,
-                Schedule::Always,
-                FaultKind::Enospc,
-            )),
-    );
-    let mgr = chaos_mgr(1536, 2, &injector, &registry, &trace);
-    let baseline = mgr.stats();
-    let plan = plan();
-    let config = AggregateConfig {
-        threads: 2,
-        radix_bits: Some(5),
-        ht_capacity: 4 * VECTOR_SIZE,
-        ..Default::default()
-    };
-    let rows: Vec<Vec<Value>> = (0..100_000)
-        .map(|i| vec![Value::Int64(i), Value::Int64(i * 3)])
-        .collect();
-    let coll = collection_from_rows(&[LogicalType::Int64, LogicalType::Int64], &rows);
-
-    for round in 0..3 {
-        let source = CollectionSource::new(&coll);
-        let err = hash_aggregate_collect(&mgr, &source, coll.types(), &plan, &config)
-            .expect_err("a spilling query cannot succeed with every spill write failing");
-        match &err {
-            Error::SpillFailed { source, .. } => {
-                assert_eq!(source.raw_os_error(), Some(28), "round {round}: {err}");
-            }
-            other => panic!("round {round}: expected SpillFailed, got {other}"),
-        }
-        let s = mgr.stats();
-        assert_eq!(s.temporary_resident, 0, "round {round}: leaked pages {s:?}");
-        assert_eq!(s.non_paged, 0, "round {round}: leaked reservation {s:?}");
-        assert_eq!(s.temp_bytes_on_disk, 0, "round {round}: leaked spill {s:?}");
-        assert_eq!(mgr.temp_slots_in_use(), 0, "round {round}: leaked slot");
-        assert_eq!(s.memory_used, baseline.memory_used, "round {round}");
-    }
-
-    // The deferral itself is observable: each abandoned background spill
-    // left a Degradation event saying the error was parked for the next
-    // foreground operation.
-    assert!(
-        trace.count_matching(|k| matches!(
-            k,
-            TraceEventKind::Degradation { detail } if detail.contains("deferred")
-        )) >= 3,
-        "background failures must trace their deferral:\n{}",
-        trace.render()
-    );
-    assert_eq!(
-        registry.snapshot().get_counter("io_faults_injected"),
-        injector.injected()
-    );
-
-    // The same manager — writers, scheduler, and all — serves the same
-    // query once the disk recovers, exercising the now-healthy background
-    // spill path.
-    injector.set_enabled(false);
-    mgr.set_memory_limit(5 << 19);
-    let before_recovery = mgr.stats();
-    let source = CollectionSource::new(&coll);
-    let (out, stats) = hash_aggregate_collect(&mgr, &source, coll.types(), &plan, &config).unwrap();
-    assert_eq!(stats.groups, 100_000);
-    assert_eq!(out.chunks().iter().map(|c| c.len()).sum::<usize>(), 100_000);
-    assert!(
-        mgr.stats()
-            .delta_since(&before_recovery)
-            .evictions_temporary
-            > 0,
-        "recovery run must exercise the background spill path"
-    );
-    let s = mgr.stats();
-    assert_eq!(s.temporary_resident, 0);
-    assert_eq!(s.temp_bytes_on_disk, 0);
-}
-
 /// Torn writes must never surface as silent corruption: a spill write that
 /// persists only half its payload fails the write, the slot is recycled,
 /// and the query either errors typed or — if the retry path re-spills
@@ -555,7 +452,7 @@ fn torn_spill_writes_never_corrupt_results() {
                     FaultKind::TornWrite,
                 )),
         );
-        let mgr = chaos_mgr(256, seed as usize % 3, &injector, &registry, &trace);
+        let mgr = chaos_mgr(256, &injector, &registry, &trace);
         let plan = plan();
         let config = AggregateConfig {
             threads: 2,
@@ -617,7 +514,7 @@ fn mid_phase1_enospc_at_four_threads_aborts_only_that_query() {
         // 2.25 MiB: above the 4-thread pinned floor, so the first
         // overflow finds an evictable page and the injected ENOSPC
         // surfaces as SpillFailed rather than a pinned-everything OOM.
-        let mgr = chaos_mgr(2304, 0, &injector, &registry, &trace);
+        let mgr = chaos_mgr(2304, &injector, &registry, &trace);
         let baseline = mgr.stats();
         let plan = plan();
         let config = AggregateConfig {
@@ -700,7 +597,7 @@ fn phase_handoff_terminates_under_latency_and_transient_faults() {
                     FaultKind::Transient,
                 )),
         );
-        let mgr = chaos_mgr(1536, 1, &injector, &registry, &trace);
+        let mgr = chaos_mgr(1536, &injector, &registry, &trace);
         let plan = plan();
         let config = AggregateConfig {
             threads: 4,

@@ -358,7 +358,6 @@ proptest! {
                 output_chunk_size: 777,
                 reset_fill_percent: 66,
                 sorted_input: sorted,
-                ..Default::default()
             };
             let source = CollectionSource::new(&coll);
             let (out, stats) =
@@ -411,7 +410,6 @@ proptest! {
                 output_chunk_size: 777,
                 reset_fill_percent: 66,
                 sorted_input: SortedInput::Sorted,
-                ..Default::default()
             };
             let source = CollectionSource::new(&coll);
             let result = hash_aggregate_collect(&mgr, &source, coll.types(), &plan, &config);

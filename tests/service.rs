@@ -823,8 +823,8 @@ fn slow_query_log_respects_threshold() {
 }
 
 /// Span tracing rides through the service: a traced spilling query comes
-/// back with a populated timeline whose tracks include the workers and the
-/// background I/O threads, and the Chrome export is non-trivial.
+/// back with a populated timeline whose tracks include the service, the
+/// coordinator and the workers, and the Chrome export is non-trivial.
 #[test]
 fn traced_query_through_service_captures_io_spans() {
     let rows = 40_000;
@@ -848,8 +848,7 @@ fn traced_query_through_service_captures_io_spans() {
     for needle in ["queue_wait", "probe", "merge", "finalize", "phase 1"] {
         assert!(names.contains(&needle), "missing span {needle:?}");
     }
-    // The export must be loadable Chrome trace JSON with named tracks
-    // (async I/O spans additionally appear when background writers ran).
+    // The export must be loadable Chrome trace JSON with named tracks.
     let json = out.stats.profile.chrome_trace_json();
     assert!(json.starts_with("{\"traceEvents\":["));
     assert!(json.contains("\"thread_name\""));
