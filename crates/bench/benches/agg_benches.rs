@@ -4,13 +4,11 @@
 //!   on generated lineitem, robust engine vs. baselines;
 //! * `fig1_regimes` — the cliff: the robust engine below and above the
 //!   memory limit (graceful degradation is "above ≈ 2-4x below", not 100x);
-//! * `eviction_policies` — Figure 4 shape: repeated runs per policy;
 //! * ablations: `reset_threshold` (the 2/3-full reset) and `radix_bits`
 //!   (over-partitioning degree).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rexa_bench::{build_env, dataset, grouping_plan, HarnessArgs, OffsetConsumer};
-use rexa_buffer::EvictionPolicy;
 use rexa_core::baselines::{in_memory_aggregate, sort_aggregate};
 use rexa_core::{hash_aggregate_streaming, AggregateConfig};
 use rexa_exec::pipeline::CancelToken;
@@ -46,7 +44,7 @@ fn agg_config(threads: usize, radix_bits: u32, reset: u32) -> AggregateConfig {
 fn bench_groupings(c: &mut Criterion) {
     let a = args();
     let ds = dataset(4.0, &a); // ~48k rows
-    let env = build_env(&ds, &a, EvictionPolicy::Mixed);
+    let env = build_env(&ds, &a);
     let schema = lineitem_schema();
     let grouping = Grouping::by_id(4).unwrap();
 
@@ -127,7 +125,7 @@ fn bench_cliff_regimes(c: &mut Criterion) {
         let mut a2 = a.clone();
         a2.mem_limit = Some(limit);
         a2.page_size = 8 << 10;
-        let env = build_env(&ds, &a2, EvictionPolicy::Mixed);
+        let env = build_env(&ds, &a2);
         g.bench_function(label, |b| {
             b.iter(|| {
                 let token = CancelToken::new();
@@ -149,46 +147,10 @@ fn bench_cliff_regimes(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_eviction_policies(c: &mut Criterion) {
-    let a = args();
-    let ds = dataset(8.0, &a);
-    let schema = lineitem_schema();
-    let plan = grouping_plan(Grouping::by_id(4).unwrap(), false);
-    let mut g = c.benchmark_group("eviction_policies");
-    g.sample_size(10);
-    for policy in [
-        EvictionPolicy::Mixed,
-        EvictionPolicy::TemporaryFirst,
-        EvictionPolicy::PersistentFirst,
-    ] {
-        let mut a2 = a.clone();
-        a2.mem_limit = Some(6 << 20);
-        a2.page_size = 8 << 10;
-        let env = build_env(&ds, &a2, policy);
-        g.bench_function(policy.to_string(), |b| {
-            b.iter(|| {
-                let token = CancelToken::new();
-                let consumer = OffsetConsumer::new(token.clone());
-                let source = env.table.scan(&env.mgr);
-                hash_aggregate_streaming(
-                    &env.mgr,
-                    &source,
-                    &schema,
-                    &plan,
-                    &agg_config(4, 4, 66),
-                    &|c| consumer.consume(c),
-                )
-                .unwrap();
-            })
-        });
-    }
-    g.finish();
-}
-
 fn bench_ablations(c: &mut Criterion) {
     let a = args();
     let ds = dataset(8.0, &a);
-    let env = build_env(&ds, &a, EvictionPolicy::Mixed);
+    let env = build_env(&ds, &a);
     let schema = lineitem_schema();
     let plan = grouping_plan(Grouping::by_id(4).unwrap(), false);
 
@@ -286,7 +248,6 @@ criterion_group!(
     benches,
     bench_groupings,
     bench_cliff_regimes,
-    bench_eviction_policies,
     bench_ablations,
     bench_skew
 );

@@ -33,7 +33,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rexa_bench::print_table;
-use rexa_buffer::{BufferManager, BufferManagerConfig, EvictionPolicy};
+use rexa_buffer::{BufferManager, BufferManagerConfig};
 use rexa_core::simple::sorted_rows;
 use rexa_core::{
     hash_aggregate_collect, hash_aggregate_streaming, AggregateConfig, AggregateSpec,
@@ -481,7 +481,6 @@ fn measure(w: &Workload, threads: usize, reps: usize, setup: &PoolSetup) -> Meas
     let mgr = BufferManager::new(
         BufferManagerConfig::with_limit(setup.mem_limit)
             .page_size(setup.page_size)
-            .policy(EvictionPolicy::Mixed)
             .temp_dir(scratch_dir("agghot").unwrap())
             .temp_direct_io(setup.direct_io),
     )
@@ -539,7 +538,6 @@ fn trace_external_run(ext: &Workload, threads: usize, path: &str) {
     let mgr = BufferManager::new(
         BufferManagerConfig::with_limit(limit)
             .page_size(16 << 10)
-            .policy(EvictionPolicy::Mixed)
             .temp_dir(scratch_dir("agghot").unwrap()),
     )
     .unwrap();

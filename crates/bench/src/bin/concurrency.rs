@@ -18,7 +18,6 @@
 //! ```
 
 use rexa_bench::*;
-use rexa_buffer::EvictionPolicy;
 use rexa_core::{plan_row_width, AggregateConfig};
 use rexa_service::{
     estimate_footprint, QueryInput, QueryOptions, QueryRequest, QueryService, ServiceConfig,
@@ -79,7 +78,7 @@ fn main() {
         for admission in [true, false] {
             let mut run_args = args.clone();
             run_args.mem_limit = Some(limit);
-            let env = build_env(&ds, &run_args, EvictionPolicy::Mixed);
+            let env = build_env(&ds, &run_args);
             let Env {
                 mgr,
                 db: _db,

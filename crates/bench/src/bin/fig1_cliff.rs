@@ -8,7 +8,6 @@
 //! * the **external sort** baseline is uniformly slower everywhere.
 
 use rexa_bench::*;
-use rexa_buffer::EvictionPolicy;
 use rexa_tpch::Grouping;
 
 fn main() {
@@ -34,7 +33,7 @@ fn main() {
         let mut row = vec![format!("{sf}"), format!("{}", ds.coll.rows())];
         let mut spilled = 0.0f64;
         for kind in SystemKind::ALL {
-            let env = build_env(&ds, &args, EvictionPolicy::Mixed);
+            let env = build_env(&ds, &args);
             let out = run_grouping(kind, &env, grouping, false, &args);
             println!(
                 "csv:{sf},{},{},{}",

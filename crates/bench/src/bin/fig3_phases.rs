@@ -4,7 +4,6 @@
 //! quantities the paper's architecture diagram describes.
 
 use rexa_bench::*;
-use rexa_buffer::EvictionPolicy;
 use rexa_tpch::Grouping;
 
 fn main() {
@@ -15,7 +14,7 @@ fn main() {
         args.memory_limit() >> 20
     );
     let ds = dataset(32.0, &args);
-    let env = build_env(&ds, &args, EvictionPolicy::Mixed);
+    let env = build_env(&ds, &args);
     match run_grouping(SystemKind::Robust, &env, grouping, false, &args) {
         Outcome::Done {
             secs,

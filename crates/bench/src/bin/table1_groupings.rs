@@ -3,7 +3,6 @@
 //! `OFFSET N-1` benchmark query).
 
 use rexa_bench::*;
-use rexa_buffer::EvictionPolicy;
 use rexa_tpch::GROUPINGS;
 
 fn main() {
@@ -23,7 +22,7 @@ fn main() {
         .collect();
     for sf in paper_sfs {
         let ds = dataset(sf, &args);
-        let env = build_env(&ds, &args, EvictionPolicy::Mixed);
+        let env = build_env(&ds, &args);
         for (i, g) in GROUPINGS.iter().enumerate() {
             let cell = match run_grouping(SystemKind::Robust, &env, *g, false, &args) {
                 Outcome::Done { groups, .. } => groups.to_string(),

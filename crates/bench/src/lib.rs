@@ -15,7 +15,7 @@
 pub mod tables;
 
 use parking_lot::Mutex;
-use rexa_buffer::{BufferManager, BufferManagerConfig, EvictionPolicy, Table};
+use rexa_buffer::{BufferManager, BufferManagerConfig, Table};
 use rexa_core::baselines::switch::Scannable;
 use rexa_core::baselines::{in_memory_aggregate, sort_aggregate, switch_aggregate};
 use rexa_core::{
@@ -177,13 +177,12 @@ pub struct Env {
     pub table: Table,
 }
 
-/// Build a fresh environment for `ds` with the given eviction policy.
-pub fn build_env(ds: &Dataset, args: &HarnessArgs, policy: EvictionPolicy) -> Env {
+/// Build a fresh environment for `ds`.
+pub fn build_env(ds: &Dataset, args: &HarnessArgs) -> Env {
     let dir = rexa_storage::scratch_dir("bench").expect("scratch dir");
     let mgr = BufferManager::new(
         BufferManagerConfig::with_limit(args.memory_limit())
             .page_size(args.page_size)
-            .policy(policy)
             .temp_dir(dir.join("tmp")),
     )
     .expect("buffer manager");
@@ -522,7 +521,7 @@ mod tests {
         let g = GROUPINGS[3]; // l_orderkey
         let mut counts = Vec::new();
         for kind in SystemKind::ALL {
-            let env = build_env(&ds, &args, EvictionPolicy::Mixed);
+            let env = build_env(&ds, &args);
             match run_grouping(kind, &env, g, false, &args) {
                 Outcome::Done { groups, .. } => counts.push(groups),
                 other => panic!("{kind:?} did not finish: {other:?}"),
@@ -537,7 +536,7 @@ mod tests {
         let args = tiny_args();
         let ds = dataset(1.0, &args);
         let g = GROUPINGS[0]; // returnflag, linestatus
-        let env = build_env(&ds, &args, EvictionPolicy::Mixed);
+        let env = build_env(&ds, &args);
         let thin = run_grouping(SystemKind::Robust, &env, g, false, &args);
         let wide = run_grouping(SystemKind::Robust, &env, g, true, &args);
         match (&thin, &wide) {
@@ -556,13 +555,13 @@ mod tests {
         args.mem_limit = Some(6 << 20); // 6 MiB
         let ds = dataset(1.0, &args); // ~30k rows
         let g = GROUPINGS[12]; // all-distinct grouping
-        let env = build_env(&ds, &args, EvictionPolicy::Mixed);
+        let env = build_env(&ds, &args);
         let robust = run_grouping(SystemKind::Robust, &env, g, true, &args);
         assert!(
             matches!(robust, Outcome::Done { .. }),
             "robust must survive: {robust:?}"
         );
-        let env = build_env(&ds, &args, EvictionPolicy::Mixed);
+        let env = build_env(&ds, &args);
         let inmem = run_grouping(SystemKind::InMemory, &env, g, true, &args);
         assert!(matches!(inmem, Outcome::Aborted), "inmem: {inmem:?}");
     }
@@ -573,7 +572,7 @@ mod tests {
         args.scale = 0.01;
         args.timeout = Duration::from_millis(1);
         let ds = dataset(1.0, &args);
-        let env = build_env(&ds, &args, EvictionPolicy::Mixed);
+        let env = build_env(&ds, &args);
         let out = run_grouping(SystemKind::External, &env, GROUPINGS[12], true, &args);
         assert!(matches!(out, Outcome::TimedOut), "{out:?}");
     }

@@ -5,7 +5,6 @@
 //! vocabulary of the paper's tables.
 
 use crate::*;
-use rexa_buffer::EvictionPolicy;
 use rexa_tpch::GROUPINGS;
 
 /// Run the grouping-table experiment and print it.
@@ -41,7 +40,7 @@ pub fn run_groupings_table(wide: bool, paper_sfs: &[f64]) {
         let ds = dataset(sf, &args);
         let mut per_system = Vec::new();
         for kind in SystemKind::ALL {
-            let env = build_env(&ds, &args, EvictionPolicy::Mixed);
+            let env = build_env(&ds, &args);
             let mut per_grouping = Vec::new();
             for g in GROUPINGS {
                 let out = run_grouping(kind, &env, g, wide, &args);
@@ -136,7 +135,7 @@ pub fn run_scaling_figure(wide: bool, paper_sfs: &[f64]) {
         let mut row = vec![format!("{sf}")];
         for g in &groupings {
             for kind in SystemKind::ALL {
-                let env = build_env(&ds, &args, EvictionPolicy::Mixed);
+                let env = build_env(&ds, &args);
                 let out = run_grouping(kind, &env, *g, wide, &args);
                 println!(
                     "csv:{variant},{sf},{},{},{}",
@@ -151,7 +150,7 @@ pub fn run_scaling_figure(wide: bool, paper_sfs: &[f64]) {
             for &t in &args.threads_list {
                 let mut targs = args.clone();
                 targs.threads = t;
-                let env = build_env(&ds, &targs, EvictionPolicy::Mixed);
+                let env = build_env(&ds, &targs);
                 let out = run_grouping(SystemKind::Robust, &env, *g, wide, &targs);
                 println!("csv:{variant},{sf},{},rexa@t{t},{}", g.id, out.cell());
                 row.push(out.cell());

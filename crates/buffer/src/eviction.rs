@@ -1,32 +1,22 @@
-//! Eviction queues and policies (paper Sections III and VII).
+//! Eviction order (paper Sections III and VII): clean pages first.
 //!
-//! Blocks whose last pin is released join an eviction queue with a sequence
-//! number. Re-pinning bumps the block's sequence, turning any queued entry
-//! stale; stale entries are skipped on pop. This approximates LRU without a
+//! Blocks whose last pin is released join one of two FIFO queues with a
+//! sequence number: persistent pages in one, temporary pages in the other.
+//! Re-pinning bumps the block's sequence, turning any queued entry stale;
+//! stale entries are skipped on pop. This approximates LRU without a
 //! global lock, like DuckDB's "lock-free concurrent priority queue with an
 //! LRU policy".
+//!
+//! Every unpinned persistent page goes before any temporary page. Dropping
+//! a persistent page is free, because the database file already holds it;
+//! evicting a temporary page costs a spill write now and a read later
+//! (temporary pages are always dirty: a reload frees their temp-file slot).
+//! This is the order that keeps the paper's Figure 4 temp file near zero.
 
 use crate::handle::BlockHandle;
 use crossbeam::queue::SegQueue;
-use std::sync::Weak;
-
-/// Which pages to evict first when memory runs out.
-///
-/// The paper's Section VII experiment (Figure 4) compares the three and finds
-/// the winner workload-dependent: `PersistentFirst` wins single-connection
-/// (persistent eviction is free), `TemporaryFirst` wins multi-connection
-/// (keeping the scanned base table cached avoids thrashing), and `Mixed` is
-/// the compromise DuckDB ships.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EvictionPolicy {
-    /// One queue for all pages; no distinction by kind (DuckDB's default).
-    #[default]
-    Mixed,
-    /// Evict temporary pages before any persistent page.
-    TemporaryFirst,
-    /// Evict persistent pages before any temporary page.
-    PersistentFirst,
-}
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Weak};
 
 /// An entry in an eviction queue: a weak block reference plus the sequence
 /// number at enqueue time.
@@ -35,48 +25,42 @@ pub(crate) struct QueueEntry {
     pub(crate) seq: u64,
 }
 
+impl QueueEntry {
+    /// The block, if it still exists and has not been re-pinned since this
+    /// entry was queued.
+    fn live(&self) -> Option<Arc<BlockHandle>> {
+        self.block
+            .upgrade()
+            .filter(|b| b.seq.load(Ordering::Acquire) == self.seq)
+    }
+}
+
 /// Queue insertions between purges of dead/stale entries. Without purging,
 /// a workload that allocates and destroys pages without ever hitting the
 /// memory limit (so eviction never pops) grows the queue without bound.
 const PURGE_INTERVAL: usize = 1 << 16;
 
-/// The eviction structure: one or two LRU queues depending on policy.
+/// The eviction structure: `queues[0]` holds persistent pages,
+/// `queues[1]` temporary ones.
 pub(crate) struct EvictionQueues {
-    policy: EvictionPolicy,
-    /// `queues[0]` = persistent, `queues[1]` = temporary under the split
-    /// policies; `Mixed` uses only `queues[0]`.
     queues: [SegQueue<QueueEntry>; 2],
     /// Pushes since the last purge.
-    since_purge: std::sync::atomic::AtomicUsize,
+    since_purge: AtomicUsize,
 }
 
 impl EvictionQueues {
-    pub(crate) fn new(policy: EvictionPolicy) -> Self {
+    pub(crate) fn new() -> Self {
         EvictionQueues {
-            policy,
             queues: [SegQueue::new(), SegQueue::new()],
-            since_purge: std::sync::atomic::AtomicUsize::new(0),
+            since_purge: AtomicUsize::new(0),
         }
-    }
-
-    pub(crate) fn policy(&self) -> EvictionPolicy {
-        self.policy
     }
 
     /// Enqueue a block that just became unpinned.
     pub(crate) fn push(&self, entry: QueueEntry, temporary: bool) {
-        let qi = match self.policy {
-            EvictionPolicy::Mixed => 0,
-            _ => usize::from(temporary),
-        };
-        self.queues[qi].push(entry);
-        if self
-            .since_purge
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed)
-            >= PURGE_INTERVAL
-        {
-            self.since_purge
-                .store(0, std::sync::atomic::Ordering::Relaxed);
+        self.queues[usize::from(temporary)].push(entry);
+        if self.since_purge.fetch_add(1, Ordering::Relaxed) >= PURGE_INTERVAL {
+            self.since_purge.store(0, Ordering::Relaxed);
             self.purge();
         }
     }
@@ -87,43 +71,31 @@ impl EvictionQueues {
         for q in &self.queues {
             for _ in 0..q.len() {
                 let Some(entry) = q.pop() else { break };
-                let keep = entry
-                    .block
-                    .upgrade()
-                    .is_some_and(|b| b.seq.load(std::sync::atomic::Ordering::Acquire) == entry.seq);
-                if keep {
+                if entry.live().is_some() {
                     q.push(entry);
                 }
             }
         }
     }
 
-    /// Pop the next eviction candidate, honoring the policy's queue order.
-    pub(crate) fn pop(&self) -> Option<QueueEntry> {
-        match self.policy {
-            EvictionPolicy::Mixed => self.queues[0].pop(),
-            EvictionPolicy::TemporaryFirst => self.queues[1].pop().or_else(|| self.queues[0].pop()),
-            EvictionPolicy::PersistentFirst => {
-                self.queues[0].pop().or_else(|| self.queues[1].pop())
-            }
-        }
-    }
-}
-
-impl std::fmt::Display for EvictionPolicy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = match self {
-            EvictionPolicy::Mixed => "Mixed",
-            EvictionPolicy::TemporaryFirst => "TemporaryFirst",
-            EvictionPolicy::PersistentFirst => "PersistentFirst",
-        };
-        f.write_str(s)
+    /// The next eviction candidate: the oldest live persistent page, else
+    /// the oldest live temporary page. Entries of destroyed or re-pinned
+    /// blocks are dropped on the way. The candidate may still be pinned or
+    /// already evicted; the caller checks under the block's state lock.
+    pub(crate) fn pop(&self) -> Option<Arc<BlockHandle>> {
+        self.queues
+            .iter()
+            .find_map(|q| std::iter::from_fn(|| q.pop()).find_map(|e| e.live()))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::handle::{BufferTag, Residency};
+    use crate::raw::RawBuffer;
+    use parking_lot::Mutex;
+    use std::sync::atomic::AtomicU64;
 
     fn entry(seq: u64) -> QueueEntry {
         QueueEntry {
@@ -132,45 +104,62 @@ mod tests {
         }
     }
 
-    #[test]
-    fn mixed_is_fifo_across_kinds() {
-        let q = EvictionQueues::new(EvictionPolicy::Mixed);
-        q.push(entry(1), false);
-        q.push(entry(2), true);
-        q.push(entry(3), false);
-        let order: Vec<u64> = std::iter::from_fn(|| q.pop().map(|e| e.seq)).collect();
-        assert_eq!(order, vec![1, 2, 3]);
+    /// A managerless block whose `size` doubles as its name in the tests.
+    fn block(tag: BufferTag, name: usize) -> Arc<BlockHandle> {
+        Arc::new(BlockHandle {
+            tag,
+            size: name,
+            db: None,
+            state: Mutex::new(Residency::Loaded(RawBuffer::alloc(64))),
+            pins: AtomicUsize::new(0),
+            seq: AtomicU64::new(0),
+            mgr: Weak::new(),
+        })
+    }
+
+    fn push(q: &EvictionQueues, b: &Arc<BlockHandle>) {
+        let seq = b.seq.fetch_add(1, Ordering::AcqRel) + 1;
+        q.push(
+            QueueEntry {
+                block: Arc::downgrade(b),
+                seq,
+            },
+            b.tag.is_temporary(),
+        );
     }
 
     #[test]
-    fn temporary_first_orders_by_kind() {
-        let q = EvictionQueues::new(EvictionPolicy::TemporaryFirst);
-        q.push(entry(1), false);
-        q.push(entry(2), true);
-        q.push(entry(3), false);
-        q.push(entry(4), true);
-        let order: Vec<u64> = std::iter::from_fn(|| q.pop().map(|e| e.seq)).collect();
-        assert_eq!(order, vec![2, 4, 1, 3]);
-    }
-
-    #[test]
-    fn persistent_first_orders_by_kind() {
-        let q = EvictionQueues::new(EvictionPolicy::PersistentFirst);
-        q.push(entry(1), true);
-        q.push(entry(2), false);
-        q.push(entry(3), true);
-        let order: Vec<u64> = std::iter::from_fn(|| q.pop().map(|e| e.seq)).collect();
-        assert_eq!(order, vec![2, 1, 3]);
+    fn persistent_before_temporary_fifo_within_kind_skipping_dead_and_stale() {
+        let q = EvictionQueues::new();
+        let t1 = block(BufferTag::TempFixed, 1);
+        let p2 = block(BufferTag::Persistent, 2);
+        let t3 = block(BufferTag::TempVariable, 3);
+        let p4 = block(BufferTag::Persistent, 4);
+        let p5 = block(BufferTag::Persistent, 5);
+        let t6 = block(BufferTag::TempFixed, 6);
+        for b in [&t1, &p2, &t3, &p4, &p5, &t6] {
+            push(&q, b);
+        }
+        // Stale: re-pinned after queueing (the pin bumps the sequence).
+        p4.seq.fetch_add(1, Ordering::AcqRel);
+        t3.seq.fetch_add(1, Ordering::AcqRel);
+        // Dead: destroyed after queueing.
+        drop(p5);
+        let order: Vec<usize> = std::iter::from_fn(|| q.pop().map(|b| b.size)).collect();
+        assert_eq!(order, vec![2, 1, 6]);
     }
 
     #[test]
     fn purge_drops_dead_and_stale_entries() {
-        let q = EvictionQueues::new(EvictionPolicy::Mixed);
+        let q = EvictionQueues::new();
         for i in 0..100 {
-            q.push(entry(i), false); // dead weak refs
+            q.push(entry(i), i % 2 == 0); // dead weak refs
         }
         q.purge();
-        assert!(q.pop().is_none(), "all entries were dead");
+        assert!(
+            q.queues.iter().all(|q| q.is_empty()),
+            "all entries were dead"
+        );
     }
 
     #[test]
@@ -178,20 +167,14 @@ mod tests {
         // Regression: a workload that allocates and destroys pages without
         // memory pressure must not grow the queue without bound (this once
         // got the allocation micro-benchmark OOM-killed).
-        let q = EvictionQueues::new(EvictionPolicy::Mixed);
+        let q = EvictionQueues::new();
         for i in 0..(super::PURGE_INTERVAL * 3) {
             q.push(entry(i as u64), false);
         }
-        let remaining = std::iter::from_fn(|| q.pop()).count();
+        let remaining = q.queues[0].len();
         assert!(
             remaining <= super::PURGE_INTERVAL + 1,
             "queue grew unboundedly: {remaining}"
         );
-    }
-
-    #[test]
-    fn policy_display() {
-        assert_eq!(EvictionPolicy::Mixed.to_string(), "Mixed");
-        assert_eq!(EvictionPolicy::default(), EvictionPolicy::Mixed);
     }
 }

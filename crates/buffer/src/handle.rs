@@ -14,7 +14,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
 
 /// What kind of data a block holds — determines spill behaviour and which
-/// eviction queue it joins under the split policies.
+/// eviction queue it joins (persistent pages are evicted first).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BufferTag {
     /// A page of the database file. Eviction is free: drop the buffer.

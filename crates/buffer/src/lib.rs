@@ -19,12 +19,11 @@
 //! 3. **paged variable-size** ([`BufferManager::allocate_variable`]) — any
 //!    size, each spilled to its own temp file. Used sparingly.
 //!
-//! Eviction pops an LRU queue of unpinned buffers. Evicting a persistent
-//! page is free (it is already in the database file); evicting a temporary
-//! page first writes it to temp storage. The three policies of the paper's
-//! Section VII experiment — [`EvictionPolicy::Mixed`] (DuckDB's default),
-//! [`EvictionPolicy::TemporaryFirst`], [`EvictionPolicy::PersistentFirst`] —
-//! are all implemented.
+//! Eviction pops an LRU queue of unpinned buffers, clean pages first.
+//! Evicting a persistent page is free (it is already in the database file);
+//! evicting a temporary page first writes it to temp storage. So every
+//! unpinned persistent page goes before any temporary page — the order that
+//! keeps the temp file near zero in the paper's Figure 4 (DESIGN.md §15).
 //!
 //! The crate also provides the paged persistent [`Table`] (serialized
 //! column-major chunks on database pages) whose scans populate the pool with
@@ -33,14 +32,13 @@
 
 #![deny(clippy::undocumented_unsafe_blocks)]
 
-pub mod eviction;
+mod eviction;
 pub mod handle;
 pub mod manager;
 pub mod raw;
 pub mod stats;
 pub mod table;
 
-pub use eviction::EvictionPolicy;
 pub use handle::{BlockHandle, BufferTag, PinGuard};
 pub use manager::{BufferManager, BufferManagerConfig, MemoryReservation, ReservationGrant};
 pub use stats::BufferStats;

@@ -1,6 +1,6 @@
 //! The unified buffer manager.
 
-use crate::eviction::{EvictionPolicy, EvictionQueues, QueueEntry};
+use crate::eviction::{EvictionQueues, QueueEntry};
 use crate::handle::{BlockHandle, BufferTag, DiskLocation, PinGuard, Residency};
 use crate::raw::RawBuffer;
 use crate::stats::BufferStats;
@@ -22,8 +22,6 @@ pub struct BufferManagerConfig {
     /// Page size for persistent and fixed-size temporary pages
     /// (default: 256 KiB, DuckDB's OLAP page size).
     pub page_size: usize,
-    /// Eviction policy (default: `Mixed`).
-    pub policy: EvictionPolicy,
     /// Directory for temporary spill files.
     pub temp_dir: PathBuf,
     /// The I/O backend temp spill files are written through (default:
@@ -60,13 +58,12 @@ pub struct BufferManagerConfig {
 }
 
 impl BufferManagerConfig {
-    /// A config with the given limit, default page size and policy, spilling
+    /// A config with the given limit and default page size, spilling
     /// into a fresh process-unique scratch directory.
     pub fn with_limit(memory_limit: usize) -> Self {
         BufferManagerConfig {
             memory_limit,
             page_size: DEFAULT_PAGE_SIZE,
-            policy: EvictionPolicy::Mixed,
             temp_dir: rexa_storage::scratch_dir("spill").expect("cannot create temp dir"),
             io_backend: Arc::new(StdIo),
             spill_retries: 3,
@@ -80,12 +77,6 @@ impl BufferManagerConfig {
     /// Builder-style override of the page size.
     pub fn page_size(mut self, page_size: usize) -> Self {
         self.page_size = page_size;
-        self
-    }
-
-    /// Builder-style override of the eviction policy.
-    pub fn policy(mut self, policy: EvictionPolicy) -> Self {
-        self.policy = policy;
         self
     }
 
@@ -139,6 +130,7 @@ impl BufferManagerConfig {
 struct Counters {
     evictions_persistent: Counter,
     evictions_temporary: Counter,
+    persistent_bytes_loaded: Counter,
     buffer_reuses: Counter,
     allocations: Counter,
     spill_retries: Counter,
@@ -155,6 +147,10 @@ impl Counters {
             evictions_temporary: reg.counter(
                 "rexa_evictions_temporary_total",
                 "Temporary pages evicted (each one is a spill write).",
+            ),
+            persistent_bytes_loaded: reg.counter(
+                "rexa_persistent_bytes_loaded_total",
+                "Bytes of persistent pages read from the database file on pin.",
             ),
             buffer_reuses: reg.counter(
                 "rexa_buffer_reuses_total",
@@ -297,7 +293,7 @@ impl BufferManager {
                 ..Accounting::default()
             }),
             temp,
-            queues: EvictionQueues::new(config.policy),
+            queues: EvictionQueues::new(),
             counters,
             metrics,
             trace: config.trace,
@@ -362,11 +358,6 @@ impl BufferManager {
         self.accounting.lock().used
     }
 
-    /// The active eviction policy.
-    pub fn policy(&self) -> EvictionPolicy {
-        self.queues.policy()
-    }
-
     /// A snapshot of all counters and gauges. The memory gauges are read in
     /// one critical section of the accounting lock, so
     /// `memory_used == persistent_resident + temporary_resident + non_paged`
@@ -389,6 +380,7 @@ impl BufferManager {
             temp_bytes_read: self.temp.bytes_read(),
             evictions_persistent: self.counters.evictions_persistent.get(),
             evictions_temporary: self.counters.evictions_temporary.get(),
+            persistent_bytes_loaded: self.counters.persistent_bytes_loaded.get(),
             buffer_reuses: self.counters.buffer_reuses.get(),
             allocations: self.counters.allocations.get(),
             spill_retries: self.counters.spill_retries.get(),
@@ -533,13 +525,7 @@ impl BufferManager {
     /// reservation needed the memory — that query fails; the manager and
     /// every other block stay consistent.
     fn evict_one(&self) -> Result<Option<(RawBuffer, BufferTag)>> {
-        while let Some(QueueEntry { block, seq }) = self.queues.pop() {
-            let Some(handle) = block.upgrade() else {
-                continue; // block destroyed
-            };
-            if handle.seq.load(Ordering::Acquire) != seq {
-                continue; // stale entry: block was re-pinned since enqueue
-            }
+        while let Some(handle) = self.queues.pop() {
             if handle.pins.load(Ordering::Acquire) != 0 {
                 continue; // pinned; its next unpin re-enqueues it
             }
@@ -753,7 +739,11 @@ impl BufferManager {
                             .db
                             .as_ref()
                             .expect("persistent block without database file");
-                        db.read_block(*id, dst)
+                        db.read_block(*id, dst).map(|()| {
+                            self.counters
+                                .persistent_bytes_loaded
+                                .add(handle.size as u64)
+                        })
                     }
                     DiskLocation::TempSlot(slot) => self.temp.read_slot(*slot, dst),
                     DiskLocation::TempVar(var) => self.temp.read_var(*var, dst),
@@ -963,11 +953,10 @@ mod tests {
 
     const PAGE: usize = 1024;
 
-    fn mgr_with(limit_pages: usize, policy: EvictionPolicy) -> Arc<BufferManager> {
+    fn mgr_with(limit_pages: usize) -> Arc<BufferManager> {
         BufferManager::new(
             BufferManagerConfig::with_limit(limit_pages * PAGE)
                 .page_size(PAGE)
-                .policy(policy)
                 .temp_dir(scratch_dir("mgr").unwrap()),
         )
         .unwrap()
@@ -985,7 +974,7 @@ mod tests {
 
     #[test]
     fn allocate_within_limit() {
-        let mgr = mgr_with(4, EvictionPolicy::Mixed);
+        let mgr = mgr_with(4);
         let (_h1, p1) = mgr.allocate_page().unwrap();
         let (_h2, p2) = mgr.allocate_page().unwrap();
         fill(&p1, 0xAA);
@@ -998,7 +987,7 @@ mod tests {
 
     #[test]
     fn pinned_pages_cannot_be_evicted_oom() {
-        let mgr = mgr_with(2, EvictionPolicy::Mixed);
+        let mgr = mgr_with(2);
         let (_h1, _p1) = mgr.allocate_page().unwrap();
         let (_h2, _p2) = mgr.allocate_page().unwrap();
         // Both pages pinned: a third allocation must fail.
@@ -1008,7 +997,7 @@ mod tests {
 
     #[test]
     fn unpinned_temp_page_spills_and_reloads() {
-        let mgr = mgr_with(2, EvictionPolicy::Mixed);
+        let mgr = mgr_with(2);
         let (h1, p1) = mgr.allocate_page().unwrap();
         fill(&p1, 0x11);
         drop(p1); // unpin -> evictable
@@ -1032,7 +1021,7 @@ mod tests {
 
     #[test]
     fn eviction_reuses_buffer_for_same_size_request() {
-        let mgr = mgr_with(1, EvictionPolicy::Mixed);
+        let mgr = mgr_with(1);
         let (_h1, p1) = mgr.allocate_page().unwrap();
         drop(p1);
         let (_h2, _p2) = mgr.allocate_page().unwrap();
@@ -1042,7 +1031,7 @@ mod tests {
 
     #[test]
     fn variable_size_allocation_spills_to_own_file() {
-        let mgr = mgr_with(8, EvictionPolicy::Mixed);
+        let mgr = mgr_with(8);
         let (hv, pv) = mgr.allocate_variable(3 * PAGE).unwrap();
         fill(&pv, 0x42);
         drop(pv);
@@ -1060,7 +1049,7 @@ mod tests {
 
     #[test]
     fn destroy_loaded_releases_memory() {
-        let mgr = mgr_with(4, EvictionPolicy::Mixed);
+        let mgr = mgr_with(4);
         let (h, p) = mgr.allocate_page().unwrap();
         drop(p);
         drop(h);
@@ -1070,7 +1059,7 @@ mod tests {
 
     #[test]
     fn destroy_spilled_frees_disk() {
-        let mgr = mgr_with(1, EvictionPolicy::Mixed);
+        let mgr = mgr_with(1);
         let (h1, p1) = mgr.allocate_page().unwrap();
         drop(p1);
         let (_h2, _p2) = mgr.allocate_page().unwrap(); // spill h1
@@ -1081,7 +1070,7 @@ mod tests {
 
     #[test]
     fn nonpaged_reservation_accounts_and_releases() {
-        let mgr = mgr_with(4, EvictionPolicy::Mixed);
+        let mgr = mgr_with(4);
         let r = mgr.reserve(3 * PAGE).unwrap();
         assert_eq!(mgr.memory_used(), 3 * PAGE);
         assert_eq!(mgr.stats().non_paged, 3 * PAGE);
@@ -1096,7 +1085,7 @@ mod tests {
 
     #[test]
     fn nonpaged_reservation_evicts_pages() {
-        let mgr = mgr_with(2, EvictionPolicy::Mixed);
+        let mgr = mgr_with(2);
         let (h, p) = mgr.allocate_page().unwrap();
         fill(&p, 0x77);
         drop(p);
@@ -1111,7 +1100,7 @@ mod tests {
 
     #[test]
     fn reservation_resize() {
-        let mgr = mgr_with(4, EvictionPolicy::Mixed);
+        let mgr = mgr_with(4);
         let mut r = mgr.reserve(PAGE).unwrap();
         r.resize(3 * PAGE).unwrap();
         assert_eq!(mgr.memory_used(), 3 * PAGE);
@@ -1124,7 +1113,7 @@ mod tests {
 
     #[test]
     fn oversized_request_errors_after_full_eviction() {
-        let mgr = mgr_with(2, EvictionPolicy::Mixed);
+        let mgr = mgr_with(2);
         let (_h, p) = mgr.allocate_page().unwrap();
         drop(p);
         let err = mgr.reserve(10 * PAGE).unwrap_err();
@@ -1136,7 +1125,7 @@ mod tests {
 
     #[test]
     fn repin_prevents_eviction() {
-        let mgr = mgr_with(2, EvictionPolicy::Mixed);
+        let mgr = mgr_with(2);
         let (h1, p1) = mgr.allocate_page().unwrap();
         fill(&p1, 0x01);
         drop(p1);
@@ -1150,7 +1139,7 @@ mod tests {
 
     #[test]
     fn set_memory_limit_takes_effect_on_next_reserve() {
-        let mgr = mgr_with(2, EvictionPolicy::Mixed);
+        let mgr = mgr_with(2);
         let (_h1, p1) = mgr.allocate_page().unwrap();
         drop(p1);
         mgr.set_memory_limit(4 * PAGE);
@@ -1161,7 +1150,7 @@ mod tests {
 
     #[test]
     fn concurrent_alloc_pin_unpin_stress() {
-        let mgr = mgr_with(8, EvictionPolicy::Mixed);
+        let mgr = mgr_with(8);
         std::thread::scope(|s| {
             for t in 0..4u8 {
                 let mgr = Arc::clone(&mgr);
@@ -1198,7 +1187,7 @@ mod tests {
 
     #[test]
     fn usage_never_exceeds_limit_under_stress() {
-        let mgr = mgr_with(4, EvictionPolicy::Mixed);
+        let mgr = mgr_with(4);
         std::thread::scope(|s| {
             for _ in 0..4 {
                 let mgr = Arc::clone(&mgr);
@@ -1216,58 +1205,40 @@ mod tests {
     }
 
     #[test]
-    fn temporary_first_policy_protects_persistent() {
+    fn clean_first_protects_temporary_and_counts_reload() {
         use rexa_storage::DatabaseFile;
-        let dir = scratch_dir("policy").unwrap();
+        let dir = scratch_dir("cleanfirst").unwrap();
         let mgr = BufferManager::new(
             BufferManagerConfig::with_limit(4 * PAGE)
                 .page_size(PAGE)
-                .policy(EvictionPolicy::TemporaryFirst)
                 .temp_dir(dir.join("tmp")),
         )
         .unwrap();
         let db = Arc::new(DatabaseFile::create(&dir.join("p.db"), PAGE).unwrap());
         let id = db.append_block(&vec![0xEE; PAGE]).unwrap();
         let ph = mgr.register_persistent(&db, id);
-        drop(mgr.pin(&ph).unwrap()); // cached, unpinned
-
-        let (th, tp) = mgr.allocate_page().unwrap();
-        drop(tp); // temp page, unpinned
-
-        // Two more allocations force one eviction; the temp page must go
-        // first even though the persistent page is older.
-        let (_h2, _p2) = mgr.allocate_page().unwrap();
-        let (_h3, _p3) = mgr.allocate_page().unwrap();
-        let (_h4, _p4) = mgr.allocate_page().unwrap();
-        assert!(!th.is_loaded(), "temporary should be evicted first");
-        assert!(ph.is_loaded(), "persistent should stay");
-    }
-
-    #[test]
-    fn persistent_first_policy_protects_temporary() {
-        use rexa_storage::DatabaseFile;
-        let dir = scratch_dir("policy2").unwrap();
-        let mgr = BufferManager::new(
-            BufferManagerConfig::with_limit(4 * PAGE)
-                .page_size(PAGE)
-                .policy(EvictionPolicy::PersistentFirst)
-                .temp_dir(dir.join("tmp")),
-        )
-        .unwrap();
-        let db = Arc::new(DatabaseFile::create(&dir.join("p.db"), PAGE).unwrap());
-        let id = db.append_block(&vec![0xEE; PAGE]).unwrap();
-        let ph = mgr.register_persistent(&db, id);
+        // The temporary page is older than the persistent one.
         let (th, tp) = mgr.allocate_page().unwrap();
         drop(tp);
         drop(mgr.pin(&ph).unwrap());
+        assert_eq!(mgr.stats().persistent_bytes_loaded, PAGE as u64);
 
         let (_h2, _p2) = mgr.allocate_page().unwrap();
         let (_h3, _p3) = mgr.allocate_page().unwrap();
-        let (_h4, _p4) = mgr.allocate_page().unwrap();
+        let (h4, p4) = mgr.allocate_page().unwrap();
         assert!(!ph.is_loaded(), "persistent should be evicted first");
         assert!(th.is_loaded(), "temporary should stay");
         // No temp I/O happened.
         assert_eq!(mgr.stats().temp_bytes_written, 0);
+
+        // The eviction was free, but re-reading the page is not.
+        drop(p4);
+        drop(h4);
+        let before = mgr.stats();
+        check(&mgr.pin(&ph).unwrap(), 0xEE);
+        let d = mgr.stats().delta_since(&before);
+        assert_eq!(d.persistent_bytes_loaded, PAGE as u64);
+        assert_eq!(d.temp_bytes_written + d.temp_bytes_read, 0);
     }
 
     fn faulty_mgr(
@@ -1410,7 +1381,7 @@ mod tests {
     #[test]
     fn grant_spend_batches_accounting_releases() {
         use rexa_exec::MemoryGrant;
-        let mgr = mgr_with(4096, EvictionPolicy::Mixed); // 4 MiB
+        let mgr = mgr_with(4096); // 4 MiB
         let grant = ReservationGrant::new(mgr.reserve(1 << 20).unwrap());
         assert_eq!(mgr.stats().non_paged, 1 << 20);
         assert_eq!(grant.remaining(), 1 << 20);
@@ -1431,7 +1402,7 @@ mod tests {
     #[test]
     fn grant_spend_exhausts_exactly_once() {
         use rexa_exec::MemoryGrant;
-        let mgr = mgr_with(4096, EvictionPolicy::Mixed);
+        let mgr = mgr_with(4096);
         let grant = ReservationGrant::new(mgr.reserve(100 * 1024).unwrap());
         let mut spent = 0usize;
         loop {
@@ -1451,7 +1422,7 @@ mod tests {
     #[test]
     fn grant_take_reclaims_prepaid_credit() {
         use rexa_exec::MemoryGrant;
-        let mgr = mgr_with(4096, EvictionPolicy::Mixed);
+        let mgr = mgr_with(4096);
         let grant = ReservationGrant::new(mgr.reserve(512 << 10).unwrap());
         // Spend a little: the batch leaves the inner reservation short.
         assert_eq!(grant.spend(8 << 10), 8 << 10);
@@ -1467,7 +1438,7 @@ mod tests {
     #[test]
     fn grant_concurrent_spends_account_exactly() {
         use rexa_exec::MemoryGrant;
-        let mgr = mgr_with(8192, EvictionPolicy::Mixed);
+        let mgr = mgr_with(8192);
         let total = 4 << 20;
         let grant = Arc::new(ReservationGrant::new(mgr.reserve(total).unwrap()));
         let spent: AtomicUsize = AtomicUsize::new(0);

@@ -1,7 +1,9 @@
 //! Counters and gauges exposed by the buffer manager — the observability
 //! needed to reproduce the paper's Figure 4 (resident persistent/temporary
 //! bytes and temp-file size over time) and the Section VII allocation
-//! micro-benchmark.
+//! micro-benchmark. Clean-first eviction trades spill I/O for re-reads of
+//! the database file; `temp_bytes_written`/`temp_bytes_read` count the one
+//! and `persistent_bytes_loaded` the other.
 
 /// A point-in-time snapshot of the buffer manager's state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -27,6 +29,11 @@ pub struct BufferStats {
     pub evictions_persistent: u64,
     /// Number of temporary-page evictions (each wrote to temp storage).
     pub evictions_temporary: u64,
+    /// Cumulative bytes of persistent pages read from the database file,
+    /// first loads and re-reads alike. Evicting a clean page is free only
+    /// if nothing reads it again; the re-reads that eviction order causes
+    /// show up here, not in the temp-file counters.
+    pub persistent_bytes_loaded: u64,
     /// Number of times an evicted buffer was handed directly to the
     /// allocation that triggered the eviction ("the buffer is reused").
     pub buffer_reuses: u64,
@@ -64,6 +71,7 @@ impl BufferStats {
             temp_bytes_read: self.temp_bytes_read - earlier.temp_bytes_read,
             evictions_persistent: self.evictions_persistent - earlier.evictions_persistent,
             evictions_temporary: self.evictions_temporary - earlier.evictions_temporary,
+            persistent_bytes_loaded: self.persistent_bytes_loaded - earlier.persistent_bytes_loaded,
             buffer_reuses: self.buffer_reuses - earlier.buffer_reuses,
             allocations: self.allocations - earlier.allocations,
             spill_retries: self.spill_retries - earlier.spill_retries,
@@ -82,6 +90,7 @@ mod tests {
     fn delta_subtracts_counters_keeps_gauges() {
         let before = BufferStats {
             temp_bytes_written: 100,
+            persistent_bytes_loaded: 10,
             evictions_temporary: 3,
             spill_retries: 2,
             ..Default::default()
@@ -92,6 +101,7 @@ mod tests {
             evictions_temporary: 5,
             spill_retries: 6,
             spill_failures: 1,
+            persistent_bytes_loaded: 25,
             ..Default::default()
         };
         let d = after.delta_since(&before);
@@ -100,5 +110,6 @@ mod tests {
         assert_eq!(d.memory_used, 77);
         assert_eq!(d.spill_retries, 4);
         assert_eq!(d.spill_failures, 1);
+        assert_eq!(d.persistent_bytes_loaded, 15);
     }
 }

@@ -8,9 +8,7 @@
 //! * after dropping everything, used == 0 and the temp file is empty.
 
 use proptest::prelude::*;
-use rexa_buffer::{
-    BlockHandle, BufferManager, BufferManagerConfig, EvictionPolicy, MemoryReservation, PinGuard,
-};
+use rexa_buffer::{BlockHandle, BufferManager, BufferManagerConfig, MemoryReservation, PinGuard};
 use rexa_storage::scratch_dir;
 use std::sync::Arc;
 
@@ -63,7 +61,6 @@ fn small_mgr(limit_pages: usize) -> Arc<BufferManager> {
     BufferManager::new(
         BufferManagerConfig::with_limit(limit_pages * PAGE)
             .page_size(PAGE)
-            .policy(EvictionPolicy::Mixed)
             .temp_dir(scratch_dir("acct-reg").unwrap()),
     )
     .unwrap()
@@ -288,7 +285,6 @@ proptest! {
         let mgr = BufferManager::new(
             BufferManagerConfig::with_limit(limit_pages * PAGE)
                 .page_size(PAGE)
-                .policy(EvictionPolicy::Mixed)
                 .temp_dir(scratch_dir("acct").unwrap()),
         ).unwrap();
         let mut blocks: Vec<Tracked> = Vec::new();

@@ -1489,7 +1489,7 @@ mod tests {
     use crate::simple::{reference_aggregate, sorted_rows};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-    use rexa_buffer::{BufferManagerConfig, EvictionPolicy};
+    use rexa_buffer::BufferManagerConfig;
     use rexa_exec::pipeline::CollectionSource;
     use rexa_exec::{ChunkCollection, Value};
     use rexa_storage::scratch_dir;
@@ -1498,7 +1498,6 @@ mod tests {
         BufferManager::new(
             BufferManagerConfig::with_limit(limit)
                 .page_size(page_size)
-                .policy(EvictionPolicy::Mixed)
                 .temp_dir(scratch_dir("agg").unwrap()),
         )
         .unwrap()
@@ -1643,7 +1642,6 @@ mod tests {
         let mgr = BufferManager::new(
             BufferManagerConfig::with_limit(coll.approx_bytes() / 2)
                 .page_size(4 << 10)
-                .policy(EvictionPolicy::Mixed)
                 .temp_dir(scratch_dir("aggfault").unwrap())
                 .io_backend(Arc::clone(&injector) as Arc<dyn IoBackend>),
         )

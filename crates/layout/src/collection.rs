@@ -642,7 +642,7 @@ impl CollectionPins {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rexa_buffer::{BufferManagerConfig, EvictionPolicy};
+    use rexa_buffer::BufferManagerConfig;
     use rexa_exec::{hashing, Value};
     use rexa_storage::scratch_dir;
 
@@ -652,7 +652,6 @@ mod tests {
         BufferManager::new(
             BufferManagerConfig::with_limit(limit_pages * PAGE)
                 .page_size(PAGE)
-                .policy(EvictionPolicy::Mixed)
                 .temp_dir(scratch_dir("layout").unwrap()),
         )
         .unwrap()

@@ -9,7 +9,7 @@
 //! cargo run --release -p rexa-service --example concurrent_service
 //! ```
 
-use rexa_buffer::{BufferManager, BufferManagerConfig, EvictionPolicy};
+use rexa_buffer::{BufferManager, BufferManagerConfig};
 use rexa_core::{plan_row_width, AggregateConfig, AggregateSpec, HashAggregatePlan};
 use rexa_exec::{ChunkCollection, DataChunk, LogicalType, Vector, VECTOR_SIZE};
 use rexa_service::{
@@ -43,12 +43,8 @@ fn main() {
         limit as f64 / (1 << 20) as f64
     );
 
-    let mgr = BufferManager::new(
-        BufferManagerConfig::with_limit(limit)
-            .page_size(page_size)
-            .policy(EvictionPolicy::Mixed),
-    )
-    .expect("buffer manager");
+    let mgr = BufferManager::new(BufferManagerConfig::with_limit(limit).page_size(page_size))
+        .expect("buffer manager");
     let service = QueryService::new(
         mgr,
         ServiceConfig {

@@ -3,7 +3,7 @@
 //! and the baselines — everything a real embedding would touch.
 
 use parking_lot::Mutex;
-use rexa_buffer::{BufferManager, BufferManagerConfig, EvictionPolicy};
+use rexa_buffer::{BufferManager, BufferManagerConfig};
 use rexa_core::baselines::switch::{Scannable, TableScan};
 use rexa_core::baselines::{sort_aggregate, switch_aggregate};
 use rexa_core::simple::{reference_aggregate, sorted_rows};
@@ -19,12 +19,11 @@ use std::sync::Arc;
 
 const PAGE: usize = 16 << 10;
 
-fn env(limit: usize, policy: EvictionPolicy, sf: f64) -> (Arc<BufferManager>, rexa_buffer::Table) {
+fn env(limit: usize, sf: f64) -> (Arc<BufferManager>, rexa_buffer::Table) {
     let dir = scratch_dir("itest").unwrap();
     let mgr = BufferManager::new(
         BufferManagerConfig::with_limit(usize::MAX)
             .page_size(PAGE)
-            .policy(policy)
             .temp_dir(dir.join("tmp")),
     )
     .unwrap();
@@ -47,7 +46,7 @@ fn config(threads: usize, radix_bits: u32) -> AggregateConfig {
 
 #[test]
 fn lineitem_grouping_from_persistent_table_matches_reference() {
-    let (mgr, table) = env(256 << 20, EvictionPolicy::Mixed, 0.002);
+    let (mgr, table) = env(256 << 20, 0.002);
     let schema = lineitem_schema();
     let grouping = Grouping::by_id(5).unwrap(); // shipdate, shipmode
     let plan = HashAggregatePlan {
@@ -72,7 +71,7 @@ fn lineitem_grouping_from_persistent_table_matches_reference() {
 
 #[test]
 fn every_grouping_thin_group_counts_are_consistent_across_systems() {
-    let (mgr, table) = env(256 << 20, EvictionPolicy::Mixed, 0.001);
+    let (mgr, table) = env(256 << 20, 0.001);
     let schema = lineitem_schema();
     for grouping in GROUPINGS {
         let plan = HashAggregatePlan {
@@ -114,7 +113,7 @@ fn every_grouping_thin_group_counts_are_consistent_across_systems() {
 fn wide_grouping_under_pressure_spills_and_is_exact() {
     // Grouping 13 wide at a limit well below the intermediates: the full
     // paper scenario on a persistent table, with ANY_VALUE strings.
-    let (mgr, table) = env(10 << 20, EvictionPolicy::Mixed, 0.005);
+    let (mgr, table) = env(7 << 20, 0.005);
     let schema = lineitem_schema();
     let grouping = Grouping::by_id(13).unwrap();
     let mut aggregates: Vec<AggregateSpec> = grouping
@@ -163,7 +162,7 @@ fn wide_grouping_under_pressure_spills_and_is_exact() {
 
 #[test]
 fn switch_baseline_on_persistent_table_restarts_cleanly() {
-    let (mgr, table) = env(2 << 20, EvictionPolicy::Mixed, 0.003);
+    let (mgr, table) = env(2 << 20, 0.003);
     let schema = lineitem_schema();
     let grouping = Grouping::by_id(11).unwrap();
     let plan = HashAggregatePlan {
@@ -206,29 +205,39 @@ fn switch_baseline_on_persistent_table_restarts_cleanly() {
 }
 
 #[test]
-fn all_three_policies_complete_the_same_query() {
-    for policy in [
-        EvictionPolicy::Mixed,
-        EvictionPolicy::TemporaryFirst,
-        EvictionPolicy::PersistentFirst,
-    ] {
-        let (mgr, table) = env(12 << 20, policy, 0.003);
-        let schema = lineitem_schema();
-        let plan = HashAggregatePlan {
-            group_cols: vec![LineitemColumn::OrderKey.index()],
-            aggregates: vec![AggregateSpec::sum(LineitemColumn::Quantity.index())],
-        };
-        let source = table.scan(&mgr);
-        let (out, stats) =
-            hash_aggregate_collect(&mgr, &source, &schema, &plan, &config(4, 4)).unwrap();
-        assert_eq!(out.rows(), stats.groups);
-        assert!(stats.groups > 1000, "{policy:?}: {}", stats.groups);
-    }
+fn table_pages_are_evicted_before_any_spill_page() {
+    // A paged table larger than the limit, with intermediates that fit
+    // beside the operator's working set: dropping clean table pages (free:
+    // the database file has them) makes all the room the query needs, so
+    // clean-first eviction never writes a spill page.
+    let limit = 4 << 20;
+    let (mgr, table) = env(limit, 0.01);
+    assert!(table.block_count() * PAGE > limit, "the table must not fit");
+    let schema = lineitem_schema();
+    let plan = HashAggregatePlan {
+        // (orderkey, linenumber) is the lineitem key: one group per row, so
+        // phase 1 resets its hash tables and unpins partition pages while
+        // the scan is still pinning table pages.
+        group_cols: vec![
+            LineitemColumn::OrderKey.index(),
+            LineitemColumn::LineNumber.index(),
+        ],
+        aggregates: vec![AggregateSpec::sum(LineitemColumn::Quantity.index())],
+    };
+    let source = table.scan(&mgr);
+    let (out, stats) =
+        hash_aggregate_collect(&mgr, &source, &schema, &plan, &config(4, 4)).unwrap();
+    assert_eq!(stats.buffer.temp_bytes_written, 0, "{:?}", stats.buffer);
+    assert!(stats.buffer.evictions_persistent > 0, "{:?}", stats.buffer);
+
+    let source = table.scan(&mgr);
+    let want = reference_aggregate(&source, &schema, &plan.group_cols, &plan.aggregates).unwrap();
+    assert_eq!(sorted_rows(out.chunks()), want);
 }
 
 #[test]
 fn repeated_queries_on_one_manager_leave_no_residue() {
-    let (mgr, table) = env(16 << 20, EvictionPolicy::Mixed, 0.002);
+    let (mgr, table) = env(16 << 20, 0.002);
     let schema = lineitem_schema();
     let plan = HashAggregatePlan {
         group_cols: vec![LineitemColumn::PartKey.index()],
@@ -253,7 +262,7 @@ fn repeated_queries_on_one_manager_leave_no_residue() {
 
 #[test]
 fn streaming_consumer_error_propagates_and_cleans_up() {
-    let (mgr, table) = env(64 << 20, EvictionPolicy::Mixed, 0.001);
+    let (mgr, table) = env(64 << 20, 0.001);
     let schema = lineitem_schema();
     let plan = HashAggregatePlan {
         group_cols: vec![LineitemColumn::OrderKey.index()],

@@ -3,7 +3,7 @@
 //! queue bound, cancellation mid-spill (temp files cleaned, no poisoned
 //! state), and deadline expiry.
 
-use rexa_buffer::{BufferManager, BufferManagerConfig, EvictionPolicy};
+use rexa_buffer::{BufferManager, BufferManagerConfig};
 use rexa_core::{plan_row_width, AggregateConfig, AggregateSpec, HashAggregatePlan};
 use rexa_exec::{ChunkCollection, DataChunk, Error, LogicalType, Vector, VECTOR_SIZE};
 use rexa_service::{
@@ -20,7 +20,6 @@ fn mgr_with(limit: usize) -> Arc<BufferManager> {
     BufferManager::new(
         BufferManagerConfig::with_limit(limit)
             .page_size(PAGE)
-            .policy(EvictionPolicy::Mixed)
             .temp_dir(scratch_dir("svc").unwrap()),
     )
     .unwrap()
@@ -31,7 +30,6 @@ fn faulty_mgr_with(limit: usize, injector: &Arc<FaultInjector>) -> Arc<BufferMan
     BufferManager::new(
         BufferManagerConfig::with_limit(limit)
             .page_size(PAGE)
-            .policy(EvictionPolicy::Mixed)
             .temp_dir(scratch_dir("svcfault").unwrap())
             .io_backend(Arc::clone(injector) as Arc<dyn IoBackend>)
             .spill_backoff(Duration::from_micros(200)),

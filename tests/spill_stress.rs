@@ -3,7 +3,7 @@
 //! I/O errors surfacing as query errors rather than corruption.
 
 use parking_lot::Mutex;
-use rexa_buffer::{BufferManager, BufferManagerConfig, EvictionPolicy};
+use rexa_buffer::{BufferManager, BufferManagerConfig};
 use rexa_core::simple::{reference_aggregate, sorted_rows};
 use rexa_core::{hash_aggregate_collect, AggregateConfig, AggregateSpec, HashAggregatePlan};
 use rexa_exec::pipeline::CollectionSource;
@@ -35,7 +35,6 @@ fn mgr_with(limit: usize, page: usize) -> Arc<BufferManager> {
     BufferManager::new(
         BufferManagerConfig::with_limit(limit)
             .page_size(page)
-            .policy(EvictionPolicy::Mixed)
             .temp_dir(scratch_dir("stress").unwrap()),
     )
     .unwrap()
