@@ -12,7 +12,7 @@ use rexa_bench::{build_env, dataset, grouping_plan, HarnessArgs, OffsetConsumer}
 use rexa_core::baselines::{in_memory_aggregate, sort_aggregate};
 use rexa_core::{hash_aggregate_streaming, AggregateConfig};
 use rexa_exec::pipeline::CancelToken;
-use rexa_exec::VECTOR_SIZE;
+use rexa_exec::{ExecContext, VECTOR_SIZE};
 use rexa_tpch::{lineitem_schema, Grouping};
 use std::time::Duration;
 
@@ -69,6 +69,7 @@ fn bench_groupings(c: &mut Criterion) {
                     &schema,
                     &plan,
                     &agg_config(4, 4, 66),
+                    &ExecContext::new(),
                     &|c| consumer.consume(c),
                 )
                 .unwrap();
@@ -137,6 +138,7 @@ fn bench_cliff_regimes(c: &mut Criterion) {
                     &schema,
                     &plan,
                     &agg_config(4, 4, 66),
+                    &ExecContext::new(),
                     &|c| consumer.consume(c),
                 )
                 .unwrap();
@@ -168,6 +170,7 @@ fn bench_ablations(c: &mut Criterion) {
                     &schema,
                     &plan,
                     &agg_config(4, 4, reset),
+                    &ExecContext::new(),
                     &|c| consumer.consume(c),
                 )
                 .unwrap();
@@ -190,6 +193,7 @@ fn bench_ablations(c: &mut Criterion) {
                     &schema,
                     &plan,
                     &agg_config(4, bits, 66),
+                    &ExecContext::new(),
                     &|c| consumer.consume(c),
                 )
                 .unwrap();

@@ -498,11 +498,16 @@ fn measure(w: &Workload, threads: usize, reps: usize, setup: &PoolSetup) -> Meas
     for _ in 0..reps {
         let source = CollectionSource::new(&w.coll);
         let start = Instant::now();
-        let stats =
-            hash_aggregate_streaming(&mgr, &source, w.coll.types(), &w.plan, &config, &|_chunk| {
-                Ok(())
-            })
-            .unwrap();
+        let stats = hash_aggregate_streaming(
+            &mgr,
+            &source,
+            w.coll.types(),
+            &w.plan,
+            &config,
+            &ExecContext::new(),
+            &|_chunk| Ok(()),
+        )
+        .unwrap();
         total.push(start.elapsed().as_secs_f64());
         p1.push(stats.phase1.as_secs_f64());
         p2.push(stats.phase2.as_secs_f64());
@@ -552,7 +557,7 @@ fn trace_external_run(ext: &Workload, threads: usize, path: &str) {
     let spans = rexa_obs::SpanCollector::new();
     let ctx = ExecContext::new().with_spans(Arc::clone(&spans));
     let source = CollectionSource::new(&ext.coll);
-    let stats = rexa_core::hash_aggregate_streaming_ctx(
+    let stats = hash_aggregate_streaming(
         &mgr,
         &source,
         ext.coll.types(),

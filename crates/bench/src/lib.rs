@@ -22,7 +22,7 @@ use rexa_core::{
     hash_aggregate_streaming, AggregateConfig, AggregateSpec, HashAggregatePlan, RunStats,
 };
 use rexa_exec::pipeline::{CancelToken, ChunkSource};
-use rexa_exec::{ChunkCollection, DataChunk, Error, Result, Value};
+use rexa_exec::{ChunkCollection, DataChunk, Error, ExecContext, Result, Value};
 use rexa_storage::DatabaseFile;
 use rexa_tpch::{generate_lineitem, lineitem_schema, Grouping};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -382,10 +382,15 @@ pub fn run_grouping(
                     reset_fill_percent: 66,
                     ..Default::default()
                 };
-                let run =
-                    hash_aggregate_streaming(&env.mgr, &source, &schema, &plan, &config, &|c| {
-                        consumer.consume(c)
-                    })?;
+                let run = hash_aggregate_streaming(
+                    &env.mgr,
+                    &source,
+                    &schema,
+                    &plan,
+                    &config,
+                    &ExecContext::new(),
+                    &|c| consumer.consume(c),
+                )?;
                 stats = Some(Box::new(run.clone()));
                 Ok(run.groups)
             }

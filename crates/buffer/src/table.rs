@@ -408,6 +408,7 @@ mod tests {
     use crate::manager::BufferManagerConfig;
     use parking_lot::Mutex;
     use rexa_exec::pipeline::Pipeline;
+    use rexa_exec::ExecContext;
     use rexa_exec::{pipeline::LocalSink, pipeline::ParallelSink, Value};
     use rexa_storage::scratch_dir;
 
@@ -462,7 +463,7 @@ mod tests {
             rows: Mutex::new(Vec::new()),
         };
         let source = table.scan(mgr);
-        Pipeline::run(&source, &sink, threads).unwrap();
+        Pipeline::run(&source, &sink, threads, &ExecContext::new()).unwrap();
         let mut rows = sink.rows.into_inner();
         rows.sort();
         rows

@@ -18,7 +18,7 @@ use crate::function::{bind_aggregate, AggKind, AggregateSpec, BoundAggregate};
 use parking_lot::Mutex;
 use rexa_buffer::BufferManager;
 use rexa_exec::pipeline::{CancelToken, ChunkSource, LocalSink, ParallelSink, Pipeline};
-use rexa_exec::{DataChunk, Error, LogicalType, Result, Value, Vector};
+use rexa_exec::{DataChunk, Error, ExecContext, LogicalType, Result, Value, Vector};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -266,7 +266,7 @@ pub fn in_memory_aggregate(
             bytes: 0,
         }),
     };
-    Pipeline::run(source, &sink, threads)?;
+    Pipeline::run(source, &sink, threads, &ExecContext::new())?;
 
     // Emit, one output chunk per batch of groups.
     let merged = sink.merged.into_inner();

@@ -21,7 +21,7 @@ use crate::ht::{entry_ptr, make_entry, salt_bits, SaltedHashTable};
 use parking_lot::Mutex;
 use rexa_buffer::{BufferManager, BufferStats};
 use rexa_exec::pipeline::{parallel_for, ChunkSource, LocalSink, ParallelSink, Pipeline};
-use rexa_exec::{hashing, DataChunk, Error, LogicalType, Result, Vector, VECTOR_SIZE};
+use rexa_exec::{hashing, DataChunk, Error, ExecContext, LogicalType, Result, Vector, VECTOR_SIZE};
 use rexa_layout::matcher::row_row_match_cross;
 use rexa_layout::{gather_rows, PartitionedTupleData, TupleDataLayout};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -206,7 +206,9 @@ impl LocalSink for LocalMaterialize<'_> {
 }
 
 /// Run the join, streaming output chunks (probe columns then build columns)
-/// to `consumer`, which is called concurrently from partition tasks.
+/// to `consumer`, which is called concurrently from partition tasks. Both
+/// materialize pipelines and the partition tasks are scheduled through
+/// `ctx`, whose cancellation token is checked between chunks and tasks.
 #[allow(clippy::too_many_arguments)]
 pub fn hash_join_streaming(
     mgr: &Arc<BufferManager>,
@@ -216,6 +218,7 @@ pub fn hash_join_streaming(
     probe_schema: &[LogicalType],
     plan: &HashJoinPlan,
     config: &JoinConfig,
+    ctx: &ExecContext,
     consumer: &(dyn Fn(DataChunk) -> Result<()> + Sync),
 ) -> Result<JoinStats> {
     if plan.build_keys.len() != plan.probe_keys.len() {
@@ -248,7 +251,7 @@ pub fn hash_join_streaming(
         )),
         rows: AtomicUsize::new(0),
     };
-    Pipeline::run(build, &build_sink, config.threads)?;
+    Pipeline::run(build, &build_sink, config.threads, ctx)?;
     let probe_sink = MaterializeSink {
         side: &probe_side,
         mgr,
@@ -261,7 +264,7 @@ pub fn hash_join_streaming(
         )),
         rows: AtomicUsize::new(0),
     };
-    Pipeline::run(probe, &probe_sink, config.threads)?;
+    Pipeline::run(probe, &probe_sink, config.threads, ctx)?;
     let materialize = t0.elapsed();
 
     // Partition-wise probe.
@@ -270,7 +273,7 @@ pub fn hash_join_streaming(
     let probe_shared = Mutex::new(probe_sink.shared.into_inner());
     let output_rows = AtomicUsize::new(0);
     let partitions = 1usize << radix_bits;
-    parallel_for(partitions, config.threads, &|p| {
+    parallel_for(partitions, config.threads, ctx, &|p| {
         let build_part = build_shared.lock().take_partition(p);
         let probe_part = probe_shared.lock().take_partition(p);
         if build_part.rows() == 0 || probe_part.rows() == 0 {
@@ -418,6 +421,7 @@ pub fn hash_join_collect(
         probe_schema,
         plan,
         config,
+        &ExecContext::new(),
         &|chunk| out.lock().push(chunk),
     )?;
     Ok((out.into_inner(), stats))

@@ -38,8 +38,8 @@ pub use function::{AggKind, AggregateSpec, BoundAggregate};
 pub use join::{hash_join_collect, hash_join_streaming, HashJoinPlan, JoinConfig, JoinStats};
 pub use kernel::AggKernels;
 pub use operator::{
-    hash_aggregate_collect, hash_aggregate_streaming, hash_aggregate_streaming_ctx, output_schema,
-    plan_row_width, AggregateConfig, HashAggregatePlan, RunStats, SortedInput,
+    hash_aggregate_collect, hash_aggregate_streaming, output_schema, plan_row_width,
+    AggregateConfig, HashAggregatePlan, RunStats, SortedInput,
 };
 pub use ungrouped::ungrouped_aggregate;
 

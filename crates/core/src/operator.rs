@@ -29,7 +29,7 @@ use crate::ht::{
 use crate::instream::InStreamAgg;
 use parking_lot::{Condvar, Mutex};
 use rexa_buffer::{BufferManager, BufferStats};
-use rexa_exec::pipeline::ChunkSource;
+use rexa_exec::pipeline::{drain_morsels, ChunkSource};
 use rexa_exec::pool::ExecContext;
 use rexa_exec::vector::VectorData;
 use rexa_exec::{hashing, DataChunk, Error, LogicalType, Result, Vector, VECTOR_SIZE};
@@ -1076,33 +1076,13 @@ impl Drop for FailGuard<'_> {
 }
 
 /// Run the full aggregation, streaming output chunks to `consumer` (which is
-/// called concurrently from the phase-2 tasks).
+/// called concurrently from the phase-2 tasks). Both phases are scheduled
+/// through `ctx`: on the context's shared worker pool (when it has one), and
+/// the context's cancellation token is checked between chunks in phase 1
+/// and between chunk batches in phase 2. On cancellation every thread-local
+/// and partitioned intermediate is dropped before this returns, so pinned
+/// pages are unpinned and spill files deleted promptly.
 pub fn hash_aggregate_streaming(
-    mgr: &Arc<BufferManager>,
-    source: &dyn ChunkSource,
-    input_schema: &[LogicalType],
-    plan: &HashAggregatePlan,
-    config: &AggregateConfig,
-    consumer: &(dyn Fn(DataChunk) -> Result<()> + Sync),
-) -> Result<RunStats> {
-    hash_aggregate_streaming_ctx(
-        mgr,
-        source,
-        input_schema,
-        plan,
-        config,
-        &ExecContext::new(),
-        consumer,
-    )
-}
-
-/// Like [`hash_aggregate_streaming`], but scheduled through `ctx`: both
-/// phases run on the context's shared worker pool (when it has one), and the
-/// context's cancellation token is checked between chunks in phase 1 and
-/// between chunk batches in phase 2. On cancellation every thread-local and
-/// partitioned intermediate is dropped before this returns, so pinned pages
-/// are unpinned and spill files deleted promptly.
-pub fn hash_aggregate_streaming_ctx(
     mgr: &Arc<BufferManager>,
     source: &dyn ChunkSource,
     input_schema: &[LogicalType],
@@ -1116,29 +1096,6 @@ pub fn hash_aggregate_streaming_ctx(
         "phase-1 table must be at least 4x the vector size"
     );
     let bound = bind_plan(plan, input_schema)?;
-    // A source that knows its sort columns lets the operator assert the
-    // sorted-input fast path up front: when the grouping keys cover a
-    // prefix of the sort columns (any permutation of a sorted prefix
-    // arrives grouped), `Detect` is promoted to `Sorted` and the sampling
-    // phase is skipped.
-    let promoted;
-    let config = if config.sorted_input == SortedInput::Detect
-        && source.sorted_by().is_some_and(|sorted| {
-            !plan.group_cols.is_empty()
-                && plan.group_cols.len() <= sorted.len()
-                && plan
-                    .group_cols
-                    .iter()
-                    .all(|c| sorted[..plan.group_cols.len()].contains(c))
-        }) {
-        promoted = AggregateConfig {
-            sorted_input: SortedInput::Sorted,
-            ..config.clone()
-        };
-        &promoted
-    } else {
-        config
-    };
     let radix_bits = config.effective_radix_bits();
     let stats_before = mgr.stats();
 
@@ -1195,53 +1152,15 @@ pub fn hash_aggregate_streaming_ctx(
         let t_probe_ns = sbuf.as_ref().map(|b| b.now_ns());
         let mut local = sink.local()?;
         let mut reader = source.reader();
-        let mut chunks = 0u64;
-        let probe_res: Result<()> = (|| {
-            // Tracing-only morsel segmentation: one span per claimed
-            // morsel, one timestamp per chunk — skipped entirely when
-            // no collector is attached.
-            let mut m_seen = 0u64;
-            let mut m_start = 0u64;
-            while let Some(chunk) = reader.next()? {
-                ctx.check_cancelled()?;
-                let t_chunk = sbuf.as_ref().map(|b| b.now_ns());
-                local.sink(chunk)?;
-                chunks += 1;
-                if let (Some(b), Some(t)) = (&sbuf, t_chunk) {
-                    let claimed = reader.morsels_claimed();
-                    if claimed != m_seen {
-                        if m_seen > 0 {
-                            b.complete_between(
-                                "morsel",
-                                span_cat::COMPUTE,
-                                m_start,
-                                t,
-                                span::arg1("morsel", m_seen - 1),
-                            );
-                        }
-                        m_seen = claimed;
-                        m_start = t;
-                    }
-                }
-            }
-            if let Some(b) = &sbuf {
-                if m_seen > 0 {
-                    b.complete(
-                        "morsel",
-                        span_cat::COMPUTE,
-                        m_start,
-                        span::arg1("morsel", m_seen - 1),
-                    );
-                }
-            }
-            Ok(())
-        })();
+        let probe_res = drain_morsels(&mut *reader, ctx, sbuf.as_deref(), |chunk| {
+            local.sink(chunk)
+        });
         let morsels = reader.morsels_claimed();
         drop(reader);
         sink.rows_in.fetch_add(local.rows_in, Ordering::Relaxed);
         sink.resets.fetch_add(local.resets, Ordering::Relaxed);
         collector.record_worker_resets(wid, local.resets);
-        probe_res?;
+        let chunks = probe_res?;
         if local.instream.is_some() {
             sink.instream_used.store(true, Ordering::Relaxed);
         }
@@ -1380,11 +1299,7 @@ pub fn hash_aggregate_streaming_ctx(
         guard.armed = false;
         Ok(())
     };
-    if threads_n == 1 {
-        worker()?;
-    } else {
-        ctx.run_units(threads_n, &worker)?;
-    }
+    ctx.run_units(threads_n, &worker)?;
     // Phase walls under overlap: phase 1 ends when the last fragment
     // flushes; everything after is merge. The old partition step is a
     // per-partition handoff now — it has no wall of its own.
@@ -1461,9 +1376,15 @@ pub fn hash_aggregate_collect(
 ) -> Result<(rexa_exec::ChunkCollection, RunStats)> {
     let bound = bind_plan(plan, input_schema)?;
     let out = Mutex::new(rexa_exec::ChunkCollection::new(bound.output_types.clone()));
-    let stats = hash_aggregate_streaming(mgr, source, input_schema, plan, config, &|chunk| {
-        out.lock().push(chunk)
-    })?;
+    let stats = hash_aggregate_streaming(
+        mgr,
+        source,
+        input_schema,
+        plan,
+        config,
+        &ExecContext::new(),
+        &|chunk| out.lock().push(chunk),
+    )?;
     Ok((out.into_inner(), stats))
 }
 
@@ -1904,7 +1825,7 @@ mod tests {
         let out = Mutex::new(ChunkCollection::new(
             output_schema(&plan, coll.types()).unwrap(),
         ));
-        let stats = hash_aggregate_streaming_ctx(
+        let stats = hash_aggregate_streaming(
             &mgr,
             &source,
             coll.types(),
@@ -1933,7 +1854,7 @@ mod tests {
         let ctx = ExecContext::new();
         ctx.cancel_token().cancel();
         let source = CollectionSource::new(&coll);
-        let err = hash_aggregate_streaming_ctx(
+        let err = hash_aggregate_streaming(
             &mgr,
             &source,
             coll.types(),

@@ -12,7 +12,7 @@
 use crate::function::{bind_aggregate, AggKind, AggregateSpec, BoundAggregate};
 use parking_lot::Mutex;
 use rexa_exec::pipeline::{ChunkSource, LocalSink, ParallelSink, Pipeline};
-use rexa_exec::{DataChunk, Error, LogicalType, Result, Value};
+use rexa_exec::{DataChunk, Error, ExecContext, LogicalType, Result, Value};
 
 struct Bound {
     aggs: Vec<BoundAggregate>,
@@ -125,12 +125,14 @@ impl LocalSink for LocalUngrouped<'_> {
 
 /// Compute aggregates over the whole input with no GROUP BY; returns exactly
 /// one row of values, in aggregate order (on an empty input `COUNT` and
-/// `SUM` are 0, as for an all-NULL group, and the others NULL).
+/// `SUM` are 0, as for an all-NULL group, and the others NULL). The
+/// pipeline's workers are scheduled through `ctx`.
 pub fn ungrouped_aggregate(
     source: &dyn ChunkSource,
     input_schema: &[LogicalType],
     aggregates: &[AggregateSpec],
     threads: usize,
+    ctx: &ExecContext,
 ) -> Result<Vec<Value>> {
     if aggregates.is_empty() {
         return Err(Error::InvalidInput(
@@ -160,7 +162,7 @@ pub fn ungrouped_aggregate(
         bound: &bound,
         merged: Mutex::new(ThreadState::new(&bound)),
     };
-    Pipeline::run(source, &sink, threads)?;
+    Pipeline::run(source, &sink, threads, ctx)?;
 
     let merged = sink.merged.into_inner();
     let mut row = Vec::with_capacity(bound.aggs.len());
@@ -223,6 +225,7 @@ mod tests {
                     AggregateSpec::any_value(1),
                 ],
                 threads,
+                &ExecContext::new(),
             )
             .unwrap();
             assert_eq!(row[0], Value::Int64(10_000));
@@ -247,6 +250,7 @@ mod tests {
                 AggregateSpec::any_value(1),
             ],
             4,
+            &ExecContext::new(),
         )
         .unwrap();
         assert_eq!(row[0], Value::Int64(0));
@@ -258,7 +262,7 @@ mod tests {
     fn no_aggregates_is_an_error() {
         let coll = input(5);
         let source = CollectionSource::new(&coll);
-        assert!(ungrouped_aggregate(&source, coll.types(), &[], 2).is_err());
+        assert!(ungrouped_aggregate(&source, coll.types(), &[], 2, &ExecContext::new()).is_err());
     }
 
     #[test]
@@ -266,7 +270,14 @@ mod tests {
         let coll = input(50_000);
         let get = |threads| {
             let source = CollectionSource::new(&coll);
-            ungrouped_aggregate(&source, coll.types(), &[AggregateSpec::sum(0)], threads).unwrap()
+            ungrouped_aggregate(
+                &source,
+                coll.types(),
+                &[AggregateSpec::sum(0)],
+                threads,
+                &ExecContext::new(),
+            )
+            .unwrap()
         };
         assert_eq!(get(1), get(2));
         assert_eq!(get(2), get(8));

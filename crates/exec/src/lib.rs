@@ -9,6 +9,7 @@
 //!   bit-budget used by the aggregation hash table,
 //! * [`pipeline`] — a small morsel-driven parallelism framework
 //!   (sources, sinks, thread-local state, combine, parallel task loops),
+//!   every entry point scheduled through an [`ExecContext`],
 //! * [`pool`] — a shared [`WorkerPool`] plus the per-query [`ExecContext`]
 //!   (pool handle + cancellation token) that the query service hands down
 //!   to operators,
@@ -19,6 +20,8 @@
 //! The design follows the paper's description of DuckDB's vectorized engine
 //! (Section II, "Streaming query execution"): small, cache-resident column
 //! vectors flow through operators in batches of at most 2048 tuples.
+
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod chunk;
 pub mod error;
@@ -33,7 +36,7 @@ pub mod vector;
 pub use chunk::{ChunkCollection, DataChunk, VECTOR_SIZE};
 pub use error::{Error, Result};
 pub use pipeline::{CancelToken, ChunkSource, LocalSink, ParallelSink, Pipeline};
-pub use pool::{spawn_named, ExecContext, MemoryGrant, WorkerPool};
+pub use pool::{ExecContext, MemoryGrant, WorkerPool};
 pub use types::LogicalType;
 pub use validity::Validity;
 pub use value::Value;

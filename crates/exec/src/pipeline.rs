@@ -17,6 +17,7 @@ use crate::chunk::{ChunkCollection, DataChunk};
 use crate::error::{Error, Result};
 use crate::pool::ExecContext;
 use rexa_obs::span::{self, cat as span_cat};
+use rexa_obs::SpanBuffer;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -31,15 +32,6 @@ pub trait ChunkSource: Send + Sync {
     fn reader(&self) -> Box<dyn ChunkReader + '_>;
     /// Total rows, if known (used to size hash tables and pick radix bits).
     fn total_rows(&self) -> Option<usize> {
-        None
-    }
-
-    /// Column indices this source's rows arrive sorted by (lexicographic;
-    /// each worker's reader sees a non-interleaved subsequence), if known.
-    /// An aggregation whose grouping keys are a prefix of this list may
-    /// assert its sorted-input fast path instead of sampling. Default:
-    /// unknown.
-    fn sorted_by(&self) -> Option<&[usize]> {
         None
     }
 }
@@ -190,32 +182,75 @@ impl ChunkSource for CollectionSource<'_> {
     }
 }
 
+/// Drain `reader` into `sink` on the calling worker: check `ctx`'s
+/// cancellation token after every chunk and, when `spans` is attached,
+/// record one `morsel` span per claimed morsel (one timestamp per chunk).
+/// Returns the number of chunks sunk. Generic over the sink so the
+/// per-chunk call inlines.
+pub fn drain_morsels(
+    reader: &mut dyn ChunkReader,
+    ctx: &ExecContext,
+    spans: Option<&SpanBuffer>,
+    mut sink: impl FnMut(&DataChunk) -> Result<()>,
+) -> Result<u64> {
+    let mut chunks = 0u64;
+    // Morsel-batch segmentation: a span per claimed morsel, closed when
+    // the reader moves on to the next claim.
+    let mut m_seen = 0u64;
+    let mut m_start = 0u64;
+    while let Some(chunk) = reader.next()? {
+        ctx.check_cancelled()?;
+        let t_chunk = spans.map(|b| b.now_ns());
+        sink(chunk)?;
+        chunks += 1;
+        if let (Some(b), Some(t)) = (spans, t_chunk) {
+            let claimed = reader.morsels_claimed();
+            if claimed != m_seen {
+                if m_seen > 0 {
+                    b.complete_between(
+                        "morsel",
+                        span_cat::COMPUTE,
+                        m_start,
+                        t,
+                        span::arg1("morsel", m_seen - 1),
+                    );
+                }
+                m_seen = claimed;
+                m_start = t;
+            }
+        }
+    }
+    if let Some(b) = spans {
+        if m_seen > 0 {
+            b.complete(
+                "morsel",
+                span_cat::COMPUTE,
+                m_start,
+                span::arg1("morsel", m_seen - 1),
+            );
+        }
+    }
+    Ok(chunks)
+}
+
 /// The pipeline executor.
 pub struct Pipeline;
 
 impl Pipeline {
-    /// Run `source → sink` on `threads` worker threads: every worker streams
-    /// morsels into its own local sink, then combines into the shared state.
-    /// Returns the first error raised by any worker.
-    ///
-    /// Spawns scoped threads per call; a query service should prefer
-    /// [`Pipeline::run_ctx`] with a pooled [`ExecContext`].
-    pub fn run(source: &dyn ChunkSource, sink: &dyn ParallelSink, threads: usize) -> Result<()> {
-        Self::run_ctx(source, sink, threads, &ExecContext::new())
-    }
-
-    /// Like [`Pipeline::run`], but schedules the workers through `ctx`: on
-    /// the shared [`WorkerPool`](crate::pool::WorkerPool) when the context
-    /// has one (the submitting thread participates, so a saturated pool
-    /// degrades to inline execution rather than deadlock), and honouring the
-    /// context's cancellation token between chunks.
-    pub fn run_ctx(
+    /// Run `source → sink` on `threads` workers scheduled through `ctx`:
+    /// every worker streams morsels into its own local sink, then combines
+    /// into the shared state. Workers run on the context's shared
+    /// [`WorkerPool`](crate::pool::WorkerPool) when it has one (the
+    /// submitting thread participates, so a saturated pool degrades to
+    /// inline execution rather than deadlock), and the context's
+    /// cancellation token is checked between chunks. Returns the first
+    /// error raised by any worker.
+    pub fn run(
         source: &dyn ChunkSource,
         sink: &dyn ParallelSink,
         threads: usize,
         ctx: &ExecContext,
     ) -> Result<()> {
-        let threads = threads.max(1);
         let work = || {
             // Busy time and chunk counts are accumulated locally and
             // flushed to the profile collector once per worker, so the
@@ -223,57 +258,20 @@ impl Pipeline {
             // tracing adds one timestamp per chunk and one record per
             // morsel — and only when a collector is attached.
             let started = std::time::Instant::now();
-            let mut chunks = 0u64;
-            let mut morsels = 0u64;
             let sbuf = ctx.spans().map(|sc| sc.track_indexed("worker"));
             let t_worker = sbuf.as_ref().map(|b| b.now_ns());
-            let result = (|| {
-                let mut reader = source.reader();
-                let mut local = sink.local()?;
-                // Morsel-batch segmentation: a span per claimed morsel,
-                // closed when the reader moves on to the next claim.
-                let mut m_seen = 0u64;
-                let mut m_start = 0u64;
-                while let Some(chunk) = reader.next()? {
-                    ctx.check_cancelled()?;
-                    let t_chunk = sbuf.as_ref().map(|b| b.now_ns());
-                    local.sink(chunk)?;
-                    chunks += 1;
-                    if let (Some(b), Some(t)) = (&sbuf, t_chunk) {
-                        let claimed = reader.morsels_claimed();
-                        if claimed != m_seen {
-                            if m_seen > 0 {
-                                b.complete_between(
-                                    "morsel",
-                                    span_cat::COMPUTE,
-                                    m_start,
-                                    t,
-                                    span::arg1("morsel", m_seen - 1),
-                                );
-                            }
-                            m_seen = claimed;
-                            m_start = t;
-                        }
-                    }
+            let mut reader = source.reader();
+            let result = sink.local().and_then(|mut local| {
+                let chunks = drain_morsels(&mut *reader, ctx, sbuf.as_deref(), |c| local.sink(c))?;
+                let t_combine = sbuf.as_ref().map(|b| b.now_ns());
+                local.combine()?;
+                if let (Some(b), Some(t)) = (&sbuf, t_combine) {
+                    b.complete("combine", span_cat::COMPUTE, t, span::NO_ARGS);
                 }
-                morsels = reader.morsels_claimed();
-                if let Some(b) = &sbuf {
-                    if m_seen > 0 {
-                        b.complete(
-                            "morsel",
-                            span_cat::COMPUTE,
-                            m_start,
-                            span::arg1("morsel", m_seen - 1),
-                        );
-                    }
-                    let t_combine = b.now_ns();
-                    let r = local.combine();
-                    b.complete("combine", span_cat::COMPUTE, t_combine, span::NO_ARGS);
-                    r
-                } else {
-                    local.combine()
-                }
-            })();
+                Ok(chunks)
+            });
+            let chunks = *result.as_ref().unwrap_or(&0);
+            let morsels = reader.morsels_claimed();
             if let (Some(b), Some(t)) = (&sbuf, t_worker) {
                 b.complete(
                     "pipeline",
@@ -287,32 +285,17 @@ impl Pipeline {
                 p.add_units(chunks);
                 p.record_worker(p.begin_worker(), started.elapsed(), morsels, chunks);
             }
-            result
+            result.map(drop)
         };
-        if threads == 1 {
-            return work();
-        }
-        ctx.run_units(threads, &work)
+        ctx.run_units(threads.max(1), &work)
     }
 }
 
-/// Run `tasks` independent tasks on `threads` worker threads, pulling task
-/// ids from a shared atomic counter (the second-phase scheduling pattern:
-/// tasks are radix partitions). Returns the first error.
-///
-/// Spawns scoped threads per call; a query service should prefer
-/// [`parallel_for_ctx`] with a pooled [`ExecContext`].
+/// Run `tasks` independent tasks on `threads` workers scheduled through
+/// `ctx`, pulling task ids from a shared atomic counter (the second-phase
+/// scheduling pattern: tasks are radix partitions). The context's
+/// cancellation token is checked before each task. Returns the first error.
 pub fn parallel_for(
-    tasks: usize,
-    threads: usize,
-    f: &(dyn Fn(usize) -> Result<()> + Sync),
-) -> Result<()> {
-    parallel_for_ctx(tasks, threads, &ExecContext::new(), f)
-}
-
-/// Like [`parallel_for`], but schedules the claim loops through `ctx` and
-/// checks the context's cancellation token before each task.
-pub fn parallel_for_ctx(
     tasks: usize,
     threads: usize,
     ctx: &ExecContext,
@@ -347,9 +330,6 @@ pub fn parallel_for_ctx(
         }
         result
     };
-    if threads == 1 {
-        return work();
-    }
     ctx.run_units(threads, &work)
 }
 
@@ -361,7 +341,7 @@ fn claim(next: &AtomicUsize, tasks: usize) -> Option<usize> {
 /// Spawn `threads` scoped workers running `work`; propagate the first error,
 /// preferring "real" errors over `Cancelled` (a worker that observes another
 /// worker's failure-induced cancellation should not mask the root cause).
-/// This is the pool-less fallback used by [`ExecContext::run_units`].
+/// This is the pool-less path of [`ExecContext::run_units`].
 pub(crate) fn run_scoped(threads: usize, work: &(dyn Fn() -> Result<()> + Sync)) -> Result<()> {
     let results: Vec<Result<()>> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..threads).map(|_| s.spawn(work)).collect();
@@ -447,7 +427,7 @@ mod tests {
                 combines: AtomicUsize::new(0),
             };
             let source = CollectionSource::new(&coll);
-            Pipeline::run(&source, &sink, threads).unwrap();
+            Pipeline::run(&source, &sink, threads, &ExecContext::new()).unwrap();
             assert_eq!(
                 sink.total.load(Ordering::Relaxed),
                 expected,
@@ -487,7 +467,7 @@ mod tests {
         }
 
         let source = CollectionSource::new(&coll);
-        Pipeline::run(&source, &Recorder { seen: &seen }, 4).unwrap();
+        Pipeline::run(&source, &Recorder { seen: &seen }, 4, &ExecContext::new()).unwrap();
         assert!(seen.lock().iter().all(|&c| c == 1));
     }
 
@@ -510,7 +490,7 @@ mod tests {
         }
         let coll = make_collection(10, 10);
         let source = CollectionSource::new(&coll);
-        let err = Pipeline::run(&source, &FailSink, 4).unwrap_err();
+        let err = Pipeline::run(&source, &FailSink, 4, &ExecContext::new()).unwrap_err();
         assert!(matches!(err, Error::Unsupported(_)));
     }
 
@@ -524,14 +504,14 @@ mod tests {
             total: AtomicI64::new(0),
             combines: AtomicUsize::new(0),
         };
-        let err = Pipeline::run(&source, &sink, 4).unwrap_err();
+        let err = Pipeline::run(&source, &sink, 4, &ExecContext::new()).unwrap_err();
         assert!(matches!(err, Error::Cancelled));
     }
 
     #[test]
     fn parallel_for_covers_all_tasks() {
         let done: Vec<AtomicUsize> = (0..97).map(|_| AtomicUsize::new(0)).collect();
-        parallel_for(97, 8, &|t| {
+        parallel_for(97, 8, &ExecContext::new(), &|t| {
             done[t].fetch_add(1, Ordering::Relaxed);
             Ok(())
         })
@@ -541,7 +521,7 @@ mod tests {
 
     #[test]
     fn parallel_for_zero_tasks() {
-        parallel_for(0, 4, &|_| panic!("no tasks expected")).unwrap();
+        parallel_for(0, 4, &ExecContext::new(), &|_| panic!("no tasks expected")).unwrap();
     }
 
     #[test]
@@ -549,7 +529,7 @@ mod tests {
         // Two tasks, two workers: each worker claims exactly one task (a
         // worker stops after its first failure), so one observes Cancelled
         // and the other the real error; the real error must win.
-        let err = parallel_for(2, 2, &|t| {
+        let err = parallel_for(2, 2, &ExecContext::new(), &|t| {
             if t == 0 {
                 Err(Error::Cancelled)
             } else {
@@ -572,12 +552,12 @@ mod tests {
             combines: AtomicUsize::new(0),
         };
         let source = CollectionSource::new(&coll);
-        Pipeline::run_ctx(&source, &sink, 4, &ctx).unwrap();
+        Pipeline::run(&source, &sink, 4, &ctx).unwrap();
         assert_eq!(sink.total.load(Ordering::Relaxed), expected);
         assert_eq!(sink.combines.load(Ordering::Relaxed), 4);
 
         let done: Vec<AtomicUsize> = (0..31).map(|_| AtomicUsize::new(0)).collect();
-        parallel_for_ctx(31, 4, &ctx, &|t| {
+        parallel_for(31, 4, &ctx, &|t| {
             done[t].fetch_add(1, Ordering::Relaxed);
             Ok(())
         })
@@ -598,10 +578,10 @@ mod tests {
             combines: AtomicUsize::new(0),
         };
         let source = CollectionSource::new(&coll);
-        Pipeline::run_ctx(&source, &sink, 4, &ctx).unwrap();
+        Pipeline::run(&source, &sink, 4, &ctx).unwrap();
 
         profile.set_phase(Phase::Merge);
-        parallel_for_ctx(31, 4, &ctx, &|_| Ok(())).unwrap();
+        parallel_for(31, 4, &ctx, &|_| Ok(())).unwrap();
 
         let p = profile.finish("x", std::time::Duration::ZERO);
         // Every chunk is credited to the probe phase, every task to merge.
@@ -622,7 +602,7 @@ mod tests {
             combines: AtomicUsize::new(0),
         };
         let source = CollectionSource::new(&coll);
-        Pipeline::run_ctx(&source, &sink, 4, &ctx).unwrap();
+        Pipeline::run(&source, &sink, 4, &ctx).unwrap();
         let p = profile.finish("x", std::time::Duration::ZERO);
         assert_eq!(p.workers.len(), 4, "one record per worker: {:?}", p.workers);
         assert_eq!(p.workers.iter().map(|w| w.chunks).sum::<u64>(), 150);
@@ -643,7 +623,7 @@ mod tests {
         // A panicking task at threads > 1 must not strand the other claim
         // loops at the completion barrier: the panic is caught, converted
         // to Error::Internal, and the call returns.
-        let err = parallel_for(8, 4, &|t| {
+        let err = parallel_for(8, 4, &ExecContext::new(), &|t| {
             if t == 3 {
                 panic!("injected worker panic");
             }
@@ -657,7 +637,7 @@ mod tests {
         use crate::pool::WorkerPool;
         let pool = Arc::new(WorkerPool::new(4));
         let ctx = ExecContext::with_pool(Arc::clone(&pool));
-        let err = parallel_for_ctx(8, 4, &ctx, &|t| {
+        let err = parallel_for(8, 4, &ctx, &|t| {
             if t == 0 {
                 panic!("injected worker panic");
             }
@@ -666,7 +646,7 @@ mod tests {
         .unwrap_err();
         assert!(matches!(err, Error::Internal(_)), "got {err}");
         let done: Vec<AtomicUsize> = (0..8).map(|_| AtomicUsize::new(0)).collect();
-        parallel_for_ctx(8, 4, &ctx, &|t| {
+        parallel_for(8, 4, &ctx, &|t| {
             done[t].fetch_add(1, Ordering::Relaxed);
             Ok(())
         })
@@ -678,7 +658,7 @@ mod tests {
     fn cancelled_context_stops_parallel_for() {
         let ctx = ExecContext::new();
         ctx.cancel_token().cancel();
-        let err = parallel_for_ctx(8, 4, &ctx, &|_| Ok(())).unwrap_err();
+        let err = parallel_for(8, 4, &ctx, &|_| Ok(())).unwrap_err();
         assert!(matches!(err, Error::Cancelled));
     }
 

@@ -1,10 +1,12 @@
 //! A shared worker pool and per-query execution context.
 //!
-//! The original pipeline executor spawned a fresh set of scoped threads for
-//! every [`Pipeline::run`](crate::pipeline::Pipeline::run) and
-//! [`parallel_for`](crate::pipeline::parallel_for) call. That is fine for a
-//! single benchmark query but wrong for a concurrent query service: `Q`
-//! queries × `T` pipeline threads each would burst-spawn `Q×T` OS threads and
+//! Every parallel entry point — [`Pipeline::run`](crate::pipeline::Pipeline::run),
+//! [`parallel_for`](crate::pipeline::parallel_for) and the operators built
+//! on them — takes an [`ExecContext`] and schedules its work units through
+//! [`ExecContext::run_units`]. A context without a pool spawns scoped
+//! threads per call, which suits a single test or benchmark query; a
+//! concurrent query service attaches one shared pool so that `Q` queries ×
+//! `T` pipeline threads do not burst-spawn `Q×T` OS threads and
 //! oversubscribe the machine precisely when it is busiest.
 //!
 //! [`WorkerPool`] fixes the thread count once. Work is submitted as a *job*
@@ -27,17 +29,6 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-
-/// Spawn a named long-lived worker thread. The pool uses this for its
-/// compute workers and the buffer manager's I/O scheduler for its
-/// writer/reader threads, so every engine thread follows the same naming
-/// convention (`rexa-*`) and spawn-failure policy.
-pub fn spawn_named(name: String, f: impl FnOnce() + Send + 'static) -> JoinHandle<()> {
-    std::thread::Builder::new()
-        .name(name)
-        .spawn(f)
-        .expect("spawn engine worker thread")
-}
 
 /// A fixed-size pool of OS worker threads shared by all running queries.
 pub struct WorkerPool {
@@ -78,7 +69,13 @@ struct JobCore {
     first_err: Mutex<Option<Error>>,
 }
 
+// SAFETY: the only non-thread-safe field is the raw `work` pointer. Its
+// referent is `Sync` (shared calls from any thread are sound), and the
+// type-level invariant above keeps it alive for every dereference, on
+// whichever thread claims the unit. All other fields are atomics or locks.
 unsafe impl Send for JobCore {}
+// SAFETY: as for `Send`: concurrent claimants only call the `Sync` closure
+// through `&`, and every mutable field is an atomic or behind a lock.
 unsafe impl Sync for JobCore {}
 
 impl JobCore {
@@ -152,7 +149,10 @@ impl WorkerPool {
         let handles = (0..threads)
             .map(|i| {
                 let shared = Arc::clone(&shared);
-                spawn_named(format!("rexa-worker-{i}"), move || worker_loop(&shared))
+                std::thread::Builder::new()
+                    .name(format!("rexa-worker-{i}"))
+                    .spawn(move || worker_loop(&shared))
+                    .expect("spawn engine worker thread")
             })
             .collect();
         WorkerPool {
@@ -173,10 +173,6 @@ impl WorkerPool {
     pub fn run(&self, units: usize, work: &(dyn Fn() -> Result<()> + Sync)) -> Result<()> {
         if units == 0 {
             return Ok(());
-        }
-        if units == 1 {
-            return std::panic::catch_unwind(std::panic::AssertUnwindSafe(work))
-                .unwrap_or_else(|_| Err(Error::Internal("worker thread panicked".into())));
         }
         // SAFETY: lifetime erasure only; the pointer is stored raw and the
         // JobCore invariant (dereference only between claim and completion,
@@ -366,8 +362,14 @@ impl ExecContext {
     }
 
     /// Run `units` invocations of `work` on the pool (caller participating),
-    /// or on scoped threads when no pool is attached.
+    /// or on scoped threads when no pool is attached. A single unit runs
+    /// inline on the calling thread on either path; a panic in it surfaces
+    /// as [`Error::Internal`], as it would from a pool or scoped worker.
     pub fn run_units(&self, units: usize, work: &(dyn Fn() -> Result<()> + Sync)) -> Result<()> {
+        if units == 1 {
+            return std::panic::catch_unwind(std::panic::AssertUnwindSafe(work))
+                .unwrap_or_else(|_| Err(Error::Internal("worker thread panicked".into())));
+        }
         match &self.pool {
             Some(pool) => pool.run(units, work),
             None => crate::pipeline::run_scoped(units, work),
@@ -435,7 +437,8 @@ mod tests {
             })
             .unwrap_err();
         assert!(matches!(err, Error::Internal(_)));
-        // Single-unit fast path panics are converted the same way.
+        // A single-unit job panicking on the submitting thread is
+        // converted the same way.
         let err = pool.run(1, &|| panic!("single unit panic")).unwrap_err();
         assert!(matches!(err, Error::Internal(_)));
         // All workers are still alive and serving jobs.

@@ -45,8 +45,9 @@ impl StrVec {
     pub fn get(&self, i: usize) -> &str {
         let start = self.offsets[i] as usize;
         let end = self.offsets[i + 1] as usize;
-        // SAFETY: only `push(&str)` writes `bytes`, so every offset range is
-        // valid UTF-8.
+        // SAFETY: `bytes` and `offsets` are private and only `push(&str)`
+        // appends to them, one whole `&str` per offset, so every offset
+        // range is valid UTF-8.
         unsafe { std::str::from_utf8_unchecked(&self.bytes[start..end]) }
     }
 }

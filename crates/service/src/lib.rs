@@ -41,8 +41,8 @@
 use parking_lot::{Condvar, Mutex};
 use rexa_buffer::{BufferManager, BufferStats, MemoryReservation, ReservationGrant, Table};
 use rexa_core::{
-    hash_aggregate_streaming_ctx, output_schema, plan_row_width, AggregateConfig,
-    HashAggregatePlan, RunStats,
+    hash_aggregate_streaming, output_schema, plan_row_width, AggregateConfig, HashAggregatePlan,
+    RunStats,
 };
 use rexa_exec::pipeline::{CancelToken, ChunkSource, CollectionSource};
 use rexa_exec::pool::{ExecContext, WorkerPool};
@@ -1055,7 +1055,7 @@ fn run_query(
         RequestKind::Aggregate(r) => {
             let schema = r.input.schema();
             let run = |source: &dyn ChunkSource| {
-                hash_aggregate_streaming_ctx(
+                hash_aggregate_streaming(
                     &service.mgr,
                     source,
                     &schema,

@@ -2,11 +2,13 @@
 //!
 //! The lowering is deliberately thin: scans go through the same
 //! [`ChunkSource`]s the hand-wired plans use, joins through
-//! [`hash_join_streaming`], and aggregation through
-//! [`hash_aggregate_streaming_ctx`] with the caller's [`ExecContext`] — so
-//! one worker pool, one cancellation token, one memory grant, and one
-//! profile collector serve the whole query, and a SQL query produces
-//! bit-identical output to the equivalent hand-wired plan.
+//! [`hash_join_streaming`], grouped aggregation through
+//! [`hash_aggregate_streaming`] and global aggregates through
+//! [`ungrouped_aggregate`], every one of them on the caller's
+//! [`ExecContext`] — so one worker pool, one cancellation token, one memory
+//! grant, and one profile and span collector serve the whole query, and a
+//! SQL query produces bit-identical output to the equivalent hand-wired
+//! plan.
 //!
 //! `WHERE` is applied by a filtering [`ChunkSource`] wrapper in front of
 //! the aggregate (each passing row is copied into a fresh chunk — fine for
@@ -17,7 +19,7 @@
 use crate::plan::{PhysicalPlan, Predicate};
 use rexa_buffer::{BufferManager, BufferStats};
 use rexa_core::{
-    hash_aggregate_streaming_ctx, hash_join_streaming, ungrouped_aggregate, AggregateConfig,
+    hash_aggregate_streaming, hash_join_streaming, ungrouped_aggregate, AggregateConfig,
     JoinConfig, JoinStats, RunStats, SortedInput,
 };
 use rexa_exec::pipeline::{CancelToken, ChunkReader, ChunkSource, CollectionSource};
@@ -82,6 +84,7 @@ pub fn execute_streaming(
                 &plan.left.schema,
                 &j.plan,
                 &jconfig,
+                ctx,
                 &|chunk| out.lock().push(chunk),
             )?;
             join_stats = Some(stats);
@@ -169,7 +172,7 @@ pub fn execute_streaming(
             if plan.input_sorted && agg_config.sorted_input == SortedInput::Detect {
                 agg_config.sorted_input = SortedInput::Sorted;
             }
-            hash_aggregate_streaming_ctx(
+            hash_aggregate_streaming(
                 mgr,
                 input_src,
                 &plan.input_schema,
@@ -187,6 +190,7 @@ pub fn execute_streaming(
                 &plan.input_schema,
                 &agg.aggregates,
                 config.threads,
+                ctx,
             )?;
             let mut chunk = DataChunk::empty(&plan.agg_output_schema);
             chunk.push_row(&values)?;
@@ -258,7 +262,8 @@ pub fn execute_streaming(
 }
 
 /// A [`RunStats`] for plans that bypass the hash-aggregation operator, so
-/// callers (the service, EXPLAIN ANALYZE) see a uniform stats shape.
+/// callers (the service, EXPLAIN ANALYZE) see a uniform stats shape —
+/// including the query's timeline when `ctx` traces spans.
 fn synthesized_stats(
     ctx: &ExecContext,
     operator: &str,
@@ -273,6 +278,12 @@ fn synthesized_stats(
         .cloned()
         .unwrap_or_else(|| Arc::new(ProfileCollector::new()));
     collector.set_threads(threads);
+    let mut profile = collector.finish(operator, wall);
+    if let Some(sc) = ctx.spans() {
+        // Every worker has joined: merge the query's buffers, as the
+        // grouped operator does.
+        profile.timeline = sc.merge();
+    }
     RunStats {
         rows_in,
         groups,
@@ -281,7 +292,7 @@ fn synthesized_stats(
         phase1: wall,
         phase2: std::time::Duration::ZERO,
         buffer: BufferStats::default(),
-        profile: collector.finish(operator, wall),
+        profile,
     }
 }
 
@@ -332,11 +343,6 @@ impl ChunkSource for FilterSource<'_> {
     fn total_rows(&self) -> Option<usize> {
         // Upper bound (pre-filter); used only for sizing hints.
         self.inner.total_rows()
-    }
-
-    fn sorted_by(&self) -> Option<&[usize]> {
-        // Filtering preserves row order.
-        self.inner.sorted_by()
     }
 }
 

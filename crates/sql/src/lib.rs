@@ -4,7 +4,7 @@
 //! byte-offset spans, a recursive-descent parser for a `SELECT` dialect, a
 //! binder/planner that resolves names against a [`Catalog`], and an
 //! executor lowering onto the existing operators —
-//! [`hash_aggregate_streaming_ctx`](rexa_core::hash_aggregate_streaming_ctx),
+//! [`hash_aggregate_streaming`](rexa_core::hash_aggregate_streaming),
 //! [`hash_join_streaming`](rexa_core::hash_join_streaming), and
 //! [`ungrouped_aggregate`](rexa_core::ungrouped_aggregate) — through one
 //! shared [`BufferManager`](rexa_buffer::BufferManager) and
@@ -29,7 +29,7 @@
 //! use rexa_sql::{Catalog, plan, execute_streaming};
 //! use rexa_buffer::{BufferManager, BufferManagerConfig};
 //! use rexa_core::AggregateConfig;
-//! use rexa_exec::{ChunkCollection, DataChunk, ExecContext, LogicalType, Value};
+//! use rexa_exec::{ChunkCollection, DataChunk, ExecContext, LogicalType, Value, WorkerPool};
 //! use std::sync::Arc;
 //!
 //! let mut coll = ChunkCollection::new(vec![LogicalType::Int64, LogicalType::Int64]);
@@ -46,12 +46,14 @@
 //!
 //! let physical = plan("SELECT k, SUM(v) FROM t GROUP BY k ORDER BY k", &catalog).unwrap();
 //! let mgr = BufferManager::new(BufferManagerConfig::with_limit(64 << 20)).unwrap();
+//! // Every pipeline of the query runs on this pool (the caller joins in).
+//! let ctx = ExecContext::with_pool(Arc::new(WorkerPool::new(2)));
 //! let out = parking_lot::Mutex::new(Vec::new());
 //! let stats = execute_streaming(
 //!     &mgr,
 //!     &physical,
 //!     &AggregateConfig::default(),
-//!     &ExecContext::new(),
+//!     &ctx,
 //!     &|chunk| {
 //!         out.lock().push(chunk);
 //!         Ok(())

@@ -14,7 +14,7 @@ use parking_lot::Mutex;
 use rexa_buffer::{BufferManager, BufferManagerConfig};
 use rexa_core::{hash_aggregate_streaming, AggregateConfig, AggregateSpec, HashAggregatePlan};
 use rexa_exec::pipeline::CollectionSource;
-use rexa_exec::{ChunkCollection, DataChunk, LogicalType, Value, Vector, VECTOR_SIZE};
+use rexa_exec::{ChunkCollection, DataChunk, ExecContext, LogicalType, Value, Vector, VECTOR_SIZE};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 fn main() -> rexa_exec::Result<()> {
@@ -62,6 +62,7 @@ fn main() -> rexa_exec::Result<()> {
             reset_fill_percent: 66,
             ..Default::default()
         },
+        &ExecContext::new(),
         &|chunk| {
             distinct.fetch_add(chunk.len(), Ordering::Relaxed);
             for i in 0..chunk.len() {

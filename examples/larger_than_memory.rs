@@ -17,7 +17,7 @@
 
 use rexa_buffer::{BufferManager, BufferManagerConfig};
 use rexa_core::baselines::in_memory_aggregate;
-use rexa_core::{hash_aggregate_streaming_ctx, AggregateConfig, AggregateSpec, HashAggregatePlan};
+use rexa_core::{hash_aggregate_streaming, AggregateConfig, AggregateSpec, HashAggregatePlan};
 use rexa_exec::pipeline::{CancelToken, CollectionSource};
 use rexa_exec::pool::ExecContext;
 use rexa_exec::{ChunkCollection, DataChunk, LogicalType, Vector, VECTOR_SIZE};
@@ -101,7 +101,7 @@ fn main() -> rexa_exec::Result<()> {
     let source = CollectionSource::new(&input);
     let start = std::time::Instant::now();
     let stats =
-        hash_aggregate_streaming_ctx(&mgr, &source, input.types(), &plan, &config, &ctx, &|c| {
+        hash_aggregate_streaming(&mgr, &source, input.types(), &plan, &config, &ctx, &|c| {
             groups.fetch_add(c.len(), Ordering::Relaxed);
             Ok(())
         })?;

@@ -14,7 +14,7 @@ use rexa_core::{
     HashAggregatePlan, SortedInput,
 };
 use rexa_exec::pipeline::{CancelToken, CollectionSource};
-use rexa_exec::{ChunkCollection, DataChunk, LogicalType, Value, VECTOR_SIZE};
+use rexa_exec::{ChunkCollection, DataChunk, ExecContext, LogicalType, Value, VECTOR_SIZE};
 use rexa_storage::scratch_dir;
 use rexa_storage::{FaultInjector, FaultKind, FaultRule, IoBackend, IoOp, Schedule};
 use std::sync::Arc;
@@ -812,7 +812,14 @@ proptest! {
         };
         for threads in [1usize, 2, 4] {
             let source = CollectionSource::new(&coll);
-            let got = ungrouped_aggregate(&source, coll.types(), &aggregates, threads).unwrap();
+            let got = ungrouped_aggregate(
+                &source,
+                coll.types(),
+                &aggregates,
+                threads,
+                &ExecContext::new(),
+            )
+            .unwrap();
             prop_assert!(
                 rows_approx_eq(&[without_any(&got)], &[without_any(&want[0])]),
                 "threads={}: got {:?} want {:?}",

@@ -12,7 +12,7 @@ use rexa_core::{
     HashAggregatePlan,
 };
 use rexa_exec::pipeline::CancelToken;
-use rexa_exec::{DataChunk, Value, VECTOR_SIZE};
+use rexa_exec::{DataChunk, ExecContext, Value, VECTOR_SIZE};
 use rexa_storage::{scratch_dir, DatabaseFile};
 use rexa_tpch::{lineitem_schema, load_lineitem_table, Grouping, LineitemColumn, GROUPINGS};
 use std::sync::Arc;
@@ -269,9 +269,15 @@ fn streaming_consumer_error_propagates_and_cleans_up() {
         aggregates: vec![],
     };
     let source = table.scan(&mgr);
-    let err = hash_aggregate_streaming(&mgr, &source, &schema, &plan, &config(4, 3), &|_| {
-        Err(rexa_exec::Error::Unsupported("consumer says no".into()))
-    })
+    let err = hash_aggregate_streaming(
+        &mgr,
+        &source,
+        &schema,
+        &plan,
+        &config(4, 3),
+        &ExecContext::new(),
+        &|_| Err(rexa_exec::Error::Unsupported("consumer says no".into())),
+    )
     .unwrap_err();
     assert!(matches!(err, rexa_exec::Error::Unsupported(_)));
     assert_eq!(mgr.stats().temporary_resident, 0);

@@ -1,13 +1,25 @@
 //! External hash join (future-work extension): differential tests against a
 //! naive nested-loop reference, including duplicates on both sides, string
-//! keys, NULL keys, spilling under tight memory, and empty inputs.
+//! keys, NULL keys, spilling under tight memory, and empty inputs; plus the
+//! scheduling contract the join shares with the global aggregate — every
+//! worker runs on the context's pool or the submitting thread, and the
+//! context's cancellation stops the partition loop.
 
+use parking_lot::Mutex;
 use rexa_buffer::{BufferManager, BufferManagerConfig};
-use rexa_core::{hash_join_collect, HashJoinPlan, JoinConfig};
-use rexa_exec::pipeline::CollectionSource;
-use rexa_exec::{ChunkCollection, DataChunk, LogicalType, Value, Vector, VECTOR_SIZE};
+use rexa_core::{
+    hash_join_collect, hash_join_streaming, ungrouped_aggregate, AggregateSpec, HashJoinPlan,
+    JoinConfig,
+};
+use rexa_exec::pipeline::{CancelToken, ChunkReader, ChunkSource, CollectionSource};
+use rexa_exec::{
+    ChunkCollection, DataChunk, Error, ExecContext, LogicalType, Result, Value, Vector, WorkerPool,
+    VECTOR_SIZE,
+};
 use rexa_storage::scratch_dir;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::thread::ThreadId;
 
 fn mgr(limit: usize, page: usize) -> Arc<BufferManager> {
     BufferManager::new(
@@ -331,4 +343,178 @@ fn key_type_mismatch_is_rejected() {
         &config(1, 2),
     )
     .is_err());
+}
+
+/// The calling thread's id and name.
+fn this_thread() -> (ThreadId, Option<String>) {
+    let me = std::thread::current();
+    (me.id(), me.name().map(str::to_string))
+}
+
+/// A [`CollectionSource`] whose readers note the thread of every `next()`
+/// call and, once the collection is drained, optionally fire a token.
+struct RecordingSource<'a> {
+    inner: CollectionSource<'a>,
+    threads: Mutex<Vec<(ThreadId, Option<String>)>>,
+    cancel_when_drained: Option<CancelToken>,
+}
+
+impl<'a> RecordingSource<'a> {
+    fn new(coll: &'a ChunkCollection) -> Self {
+        RecordingSource {
+            inner: CollectionSource::new(coll),
+            threads: Mutex::new(Vec::new()),
+            cancel_when_drained: None,
+        }
+    }
+}
+
+struct RecordingReader<'a> {
+    inner: Box<dyn ChunkReader + 'a>,
+    source: &'a RecordingSource<'a>,
+}
+
+impl ChunkReader for RecordingReader<'_> {
+    fn next(&mut self) -> Result<Option<&DataChunk>> {
+        self.source.threads.lock().push(this_thread());
+        let chunk = self.inner.next()?;
+        if chunk.is_none() {
+            if let Some(token) = &self.source.cancel_when_drained {
+                token.cancel();
+            }
+        }
+        Ok(chunk)
+    }
+
+    fn morsels_claimed(&self) -> u64 {
+        self.inner.morsels_claimed()
+    }
+}
+
+impl ChunkSource for RecordingSource<'_> {
+    fn reader(&self) -> Box<dyn ChunkReader + '_> {
+        Box::new(RecordingReader {
+            inner: self.inner.reader(),
+            source: self,
+        })
+    }
+
+    fn total_rows(&self) -> Option<usize> {
+        self.inner.total_rows()
+    }
+}
+
+/// Assert that every recorded thread is a pool worker or the submitting
+/// thread `me`.
+fn assert_pool_or_submitter(
+    threads: &Mutex<Vec<(ThreadId, Option<String>)>>,
+    me: ThreadId,
+    what: &str,
+) {
+    let threads = threads.lock();
+    assert!(!threads.is_empty(), "{what}: nothing recorded");
+    for (id, name) in threads.iter() {
+        assert!(
+            *id == me
+                || name
+                    .as_deref()
+                    .is_some_and(|n| n.starts_with("rexa-worker-")),
+            "{what}: ran on thread {name:?}, neither a pool worker nor the submitter"
+        );
+    }
+}
+
+/// The join's two materialize pipelines and the global aggregate's
+/// pipeline run on the context's pool: at `threads: 4` on a 2-worker pool,
+/// no scoped thread is spawned, so every read happens on `rexa-worker-*`
+/// or on the calling thread.
+#[test]
+fn join_and_global_aggregate_read_only_on_pool_or_submitter() {
+    let me = std::thread::current().id();
+    let build = i64_table(&(0..20_000).map(|i| (i % 5_000, i)).collect::<Vec<_>>());
+    let probe = i64_table(&(0..60_000).map(|i| (i % 7_000, -i)).collect::<Vec<_>>());
+    let ctx = ExecContext::with_pool(Arc::new(WorkerPool::new(2)));
+    let m = mgr(64 << 20, 16 << 10);
+
+    let build_src = RecordingSource::new(&build);
+    let probe_src = RecordingSource::new(&probe);
+    let consumers = Mutex::new(Vec::new());
+    let output_rows = AtomicUsize::new(0);
+    let stats = hash_join_streaming(
+        &m,
+        &build_src,
+        build.types(),
+        &probe_src,
+        probe.types(),
+        &HashJoinPlan {
+            build_keys: vec![0],
+            probe_keys: vec![0],
+        },
+        &config(4, 3),
+        &ctx,
+        &|chunk| {
+            consumers.lock().push(this_thread());
+            output_rows.fetch_add(chunk.len(), Ordering::Relaxed);
+            Ok(())
+        },
+    )
+    .unwrap();
+    // Keys 0..5000 each occur 4x in build; probe keys < 5000 match.
+    let matched_probe = (0..60_000).filter(|i| i % 7_000 < 5_000).count();
+    assert_eq!(stats.output_rows, matched_probe * 4);
+    assert_eq!(output_rows.load(Ordering::Relaxed), matched_probe * 4);
+    assert_pool_or_submitter(&build_src.threads, me, "join build");
+    assert_pool_or_submitter(&probe_src.threads, me, "join probe");
+    assert_pool_or_submitter(&consumers, me, "join partition tasks");
+
+    let agg_src = RecordingSource::new(&probe);
+    let row = ungrouped_aggregate(
+        &agg_src,
+        probe.types(),
+        &[AggregateSpec::count_star(), AggregateSpec::sum(1)],
+        4,
+        &ctx,
+    )
+    .unwrap();
+    assert_eq!(row[0], Value::Int64(60_000));
+    assert_eq!(row[1], Value::Int64(-(0..60_000).sum::<i64>()));
+    assert_pool_or_submitter(&agg_src.threads, me, "global aggregate");
+}
+
+/// The context's token is checked before each partition task: a
+/// cancellation that arrives once both sides are materialized stops the
+/// join with `Cancelled` before any task emits a row, and every page is
+/// released.
+#[test]
+fn cancelled_context_stops_join_before_partition_tasks() {
+    let build = i64_table(&(0..10_000).map(|i| (i % 1_000, i)).collect::<Vec<_>>());
+    let probe = i64_table(&(0..10_000).map(|i| (i % 1_000, i)).collect::<Vec<_>>());
+    let ctx = ExecContext::with_pool(Arc::new(WorkerPool::new(2)));
+    let m = mgr(64 << 20, 16 << 10);
+    let build_src = CollectionSource::new(&build);
+    let mut probe_src = RecordingSource::new(&probe);
+    probe_src.cancel_when_drained = Some(ctx.cancel_token().clone());
+    let emitted = AtomicUsize::new(0);
+    let err = hash_join_streaming(
+        &m,
+        &build_src,
+        build.types(),
+        &probe_src,
+        probe.types(),
+        &HashJoinPlan {
+            build_keys: vec![0],
+            probe_keys: vec![0],
+        },
+        &config(1, 3),
+        &ctx,
+        &|_| {
+            emitted.fetch_add(1, Ordering::Relaxed);
+            Ok(())
+        },
+    )
+    .unwrap_err();
+    assert!(matches!(err, Error::Cancelled), "got {err}");
+    assert_eq!(emitted.load(Ordering::Relaxed), 0, "a partition task ran");
+    assert_eq!(m.stats().temporary_resident, 0);
+    assert_eq!(m.stats().temp_bytes_on_disk, 0);
 }

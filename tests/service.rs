@@ -851,3 +851,79 @@ fn traced_query_through_service_captures_io_spans() {
     assert!(json.starts_with("{\"traceEvents\":["));
     assert!(json.contains("\"thread_name\""));
 }
+
+/// A SQL `JOIN … GROUP BY` and a global aggregate submitted to the service
+/// run on the query's context: their pipeline and partition-task workers
+/// record spans into the query's collector, and the global aggregate's
+/// profile carries the merged timeline like a grouped query's does.
+#[test]
+fn traced_sql_join_and_global_aggregate_run_on_the_query_context() {
+    let service = QueryService::new(
+        mgr_with(64 << 20),
+        ServiceConfig {
+            pool_threads: 2,
+            ..Default::default()
+        },
+    );
+    let fact = make_input(40_000, 500);
+    let dim = make_input(500, 500);
+    let columns = || vec!["k".to_string(), "v".to_string()];
+    service
+        .register_table("f", columns(), QueryInput::Collection(fact))
+        .unwrap();
+    service
+        .register_table("d", columns(), QueryInput::Collection(dim))
+        .unwrap();
+    let traced = |sql: &str| {
+        let spans = rexa_obs::SpanCollector::new();
+        let options = QueryOptions {
+            config: AggregateConfig {
+                threads: 2,
+                ..Default::default()
+            },
+            spans: Some(Arc::clone(&spans)),
+            ..Default::default()
+        };
+        let out = service
+            .submit_sql_with(sql, options)
+            .unwrap()
+            .wait()
+            .unwrap();
+        let count = |name: &str| {
+            out.stats
+                .profile
+                .timeline
+                .spans
+                .iter()
+                .filter(|s| s.name == name)
+                .count()
+        };
+        (count("pipeline"), count("task"), count("queue_wait"), out)
+    };
+
+    let (pipelines, tasks, queue_waits, out) =
+        traced("SELECT d.v, COUNT(*), SUM(f.v) FROM f JOIN d ON f.k = d.k GROUP BY d.v");
+    assert_eq!(out.stats.groups, 500);
+    // Build and probe each run one pipeline span per worker; every radix
+    // partition is one task.
+    assert!(pipelines >= 2, "join pipeline spans: {pipelines}");
+    assert!(tasks >= 1, "join partition task spans: {tasks}");
+    assert_eq!(queue_waits, 1);
+
+    let (pipelines, _, queue_waits, out) = traced("SELECT SUM(v), COUNT(*) FROM f");
+    let rows = out.output.as_ref().unwrap();
+    assert_eq!(rows.rows(), 1);
+    let sum: i64 = (0..40_000).map(|i| (i % 500) * 3).sum();
+    assert_eq!(
+        rows.chunks()[0].row(0),
+        vec![
+            rexa_exec::Value::Int64(sum),
+            rexa_exec::Value::Int64(40_000)
+        ]
+    );
+    assert!(
+        pipelines >= 1,
+        "global aggregate pipeline spans: {pipelines}"
+    );
+    assert_eq!(queue_waits, 1, "service spans missing from the timeline");
+}

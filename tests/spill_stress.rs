@@ -7,7 +7,7 @@ use rexa_buffer::{BufferManager, BufferManagerConfig};
 use rexa_core::simple::{reference_aggregate, sorted_rows};
 use rexa_core::{hash_aggregate_collect, AggregateConfig, AggregateSpec, HashAggregatePlan};
 use rexa_exec::pipeline::CollectionSource;
-use rexa_exec::{ChunkCollection, DataChunk, LogicalType, Vector, VECTOR_SIZE};
+use rexa_exec::{ChunkCollection, DataChunk, ExecContext, LogicalType, Vector, VECTOR_SIZE};
 use rexa_storage::scratch_dir;
 use std::sync::Arc;
 
@@ -219,12 +219,19 @@ fn oversized_strings_spill_to_variable_pages() {
     };
     let results = Mutex::new(Vec::<DataChunk>::new());
     let source = CollectionSource::new(&coll);
-    let stats =
-        rexa_core::hash_aggregate_streaming(&mgr, &source, coll.types(), &plan, &config, &|c| {
+    let stats = rexa_core::hash_aggregate_streaming(
+        &mgr,
+        &source,
+        coll.types(),
+        &plan,
+        &config,
+        &ExecContext::new(),
+        &|c| {
             results.lock().push(c);
             Ok(())
-        })
-        .unwrap();
+        },
+    )
+    .unwrap();
     assert_eq!(stats.groups, 40);
     let out = results.into_inner();
     let total: usize = out.iter().map(|c| c.len()).sum();

@@ -9,16 +9,16 @@
 //!
 //! Also here: the acceptance query (TPC-H Q1 shape) through
 //! [`QueryService::submit_sql`] with and without memory pressure, a JOIN +
-//! GROUP BY differential, span-carrying error checks at the service
-//! boundary, and a parser fuzz smoke (malformed inputs must error with
-//! spans, never panic).
+//! GROUP BY differential, the declared-sort-order path, span-carrying error
+//! checks at the service boundary, and a parser fuzz smoke (malformed
+//! inputs must error with spans, never panic).
 
 use parking_lot::Mutex;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rexa_buffer::{BufferManager, BufferManagerConfig};
-use rexa_core::simple::sorted_rows;
+use rexa_core::simple::{reference_aggregate, sorted_rows};
 use rexa_core::{
     hash_aggregate_collect, hash_join_streaming, AggregateConfig, AggregateSpec, HashAggregatePlan,
     HashJoinPlan, JoinConfig,
@@ -495,6 +495,47 @@ fn sql_high_cardinality_group_by_spills_and_matches() {
     );
 }
 
+/// A table declared sorted by its grouping key runs phase 1 in-stream from
+/// the first row: the planner marks the input sorted and execution promotes
+/// the config. The keys are all distinct, so sampling alone (run length 1)
+/// would never pick the in-stream path — only the declaration does.
+#[test]
+fn declared_sorted_table_groups_in_stream_and_matches_reference() {
+    let rows: Vec<Vec<Value>> = (0..30_000i64)
+        .map(|i| vec![Value::Int64(i), Value::Int64(i % 97 - 48)])
+        .collect();
+    let two_ints = vec![LogicalType::Int64, LogicalType::Int64];
+    let coll = Arc::new(build_collection(&two_ints, &rows));
+    let mut catalog = Catalog::new();
+    catalog
+        .register_collection("t", vec!["k".into(), "v".into()], Arc::clone(&coll))
+        .unwrap();
+    catalog.declare_sorted("t", &["k"]).unwrap();
+    let plan = rexa_sql::plan("SELECT k, COUNT(*), SUM(v) FROM t GROUP BY k", &catalog).unwrap();
+    assert!(plan.input_sorted, "planner missed the declared sort order");
+
+    let config = AggregateConfig {
+        threads: 2,
+        ..Default::default()
+    };
+    let mgr = test_manager(64 << 20);
+    let out = Mutex::new(Vec::<DataChunk>::new());
+    let stats = rexa_sql::execute_streaming(&mgr, &plan, &config, &ExecContext::new(), &|c| {
+        out.lock().push(c);
+        Ok(())
+    })
+    .unwrap();
+    assert_eq!(stats.run.profile.strategy, "instream");
+    let want = reference_aggregate(
+        &CollectionSource::new(&coll),
+        coll.types(),
+        &[0],
+        &[AggregateSpec::count_star(), AggregateSpec::sum(1)],
+    )
+    .unwrap();
+    assert!(rows_bits_eq(&sorted_rows(&out.into_inner()), &want));
+}
+
 /// JOIN + GROUP BY through SQL vs. hand-wired `hash_join_streaming` feeding
 /// `hash_aggregate_collect`.
 #[test]
@@ -574,6 +615,7 @@ fn join_group_by_matches_hand_wired_plan() {
             probe_keys: vec![0],
         },
         &JoinConfig::default(),
+        &ExecContext::new(),
         &|c| joined.lock().push(c),
     )
     .unwrap();
