@@ -1142,7 +1142,7 @@ pub fn hash_aggregate_streaming(
     // workers still probe.
     let worker = || -> Result<()> {
         let wid = collector.begin_worker();
-        let sbuf = spans.as_ref().map(|sc| sc.track(format!("worker {wid}")));
+        let sbuf = ctx.worker_track();
         let mut guard = FailGuard {
             handoff: &handoff,
             armed: true,

@@ -104,6 +104,35 @@ impl DataChunk {
         }
     }
 
+    /// Rows `sel` (indices into this chunk, at most [`VECTOR_SIZE`]) as a
+    /// new chunk, column by column.
+    pub fn gather(&self, sel: &[u32]) -> DataChunk {
+        let columns: Vec<usize> = (0..self.columns.len()).collect();
+        let mut out = DataChunk::empty(&[]);
+        self.gather_into(&columns, sel, &mut out);
+        out
+    }
+
+    /// Overwrite `out` with rows `sel` of the columns `columns`, in that
+    /// order, reusing `out`'s buffers. The result has `sel.len()` rows even
+    /// when `columns` is empty, so a filter feeding `COUNT(*)` alone keeps
+    /// its row count.
+    pub fn gather_into(&self, columns: &[usize], sel: &[u32], out: &mut DataChunk) {
+        assert!(
+            sel.len() <= VECTOR_SIZE,
+            "selection of {} rows exceeds VECTOR_SIZE",
+            sel.len()
+        );
+        out.columns.truncate(columns.len());
+        for (i, &c) in columns.iter().enumerate() {
+            match out.columns.get_mut(i) {
+                Some(v) => v.assign_gather(&self.columns[c], sel),
+                None => out.columns.push(self.columns[c].gather(sel)),
+            }
+        }
+        out.len = sel.len();
+    }
+
     /// A chunk with the subset of columns given by `projection`.
     pub fn project(&self, projection: &[usize]) -> DataChunk {
         DataChunk {
@@ -247,6 +276,38 @@ mod tests {
         assert_eq!(p.column_count(), 1);
         assert_eq!(p.len(), 3);
         assert_eq!(p.column(0).str_at(2), "c");
+    }
+
+    #[test]
+    fn gather_selects_rows_of_every_column() {
+        let c = two_col_chunk();
+        let g = c.gather(&[2, 0]);
+        assert_eq!(g.len(), 2);
+        assert_eq!(g.row(0), vec![Value::Int64(3), Value::Varchar("c".into())]);
+        assert_eq!(g.row(1), vec![Value::Int64(1), Value::Varchar("a".into())]);
+        assert_eq!(c.gather(&[0, 1, 2]), c);
+        let empty = c.gather(&[]);
+        assert!(empty.is_empty());
+        assert_eq!(empty.types(), c.types());
+    }
+
+    #[test]
+    fn gather_into_projects_and_reuses_the_target() {
+        let mut c = DataChunk::empty(&[LogicalType::Int64, LogicalType::Varchar]);
+        c.push_row(&[Value::Null, Value::Varchar("x".into())])
+            .unwrap();
+        c.push_row(&[Value::Int64(7), Value::Null]).unwrap();
+        let mut out = DataChunk::empty(&[]);
+        c.gather_into(&[1, 0], &[1], &mut out);
+        assert_eq!(out.types(), vec![LogicalType::Varchar, LogicalType::Int64]);
+        assert_eq!(out.row(0), vec![Value::Null, Value::Int64(7)]);
+        c.gather_into(&[0], &[0, 1], &mut out);
+        assert_eq!(out.column_count(), 1);
+        assert_eq!(out.row(0), vec![Value::Null]);
+        assert_eq!(out.row(1), vec![Value::Int64(7)]);
+        // No columns: the row count survives.
+        c.gather_into(&[], &[0, 1], &mut out);
+        assert_eq!((out.column_count(), out.len()), (0, 2));
     }
 
     #[test]

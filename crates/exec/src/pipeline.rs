@@ -258,7 +258,7 @@ impl Pipeline {
             // tracing adds one timestamp per chunk and one record per
             // morsel — and only when a collector is attached.
             let started = std::time::Instant::now();
-            let sbuf = ctx.spans().map(|sc| sc.track_indexed("worker"));
+            let sbuf = ctx.worker_track();
             let t_worker = sbuf.as_ref().map(|b| b.now_ns());
             let mut reader = source.reader();
             let result = sink.local().and_then(|mut local| {
@@ -306,7 +306,7 @@ pub fn parallel_for(
     let work = || {
         let started = std::time::Instant::now();
         let mut executed = 0u64;
-        let sbuf = ctx.spans().map(|sc| sc.track_indexed("worker"));
+        let sbuf = ctx.worker_track();
         let result = (|| {
             while let Some(task) = claim(&next, tasks) {
                 ctx.check_cancelled()?;

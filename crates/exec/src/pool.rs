@@ -24,7 +24,7 @@
 use crate::error::{Error, Result};
 use crate::pipeline::CancelToken;
 use parking_lot::{Condvar, Mutex};
-use rexa_obs::{ProfileCollector, SpanCollector};
+use rexa_obs::{ProfileCollector, SpanBuffer, SpanCollector};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -150,7 +150,7 @@ impl WorkerPool {
             .map(|i| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
-                    .name(format!("rexa-worker-{i}"))
+                    .name(format!("{POOL_THREAD_PREFIX}{i}"))
                     .spawn(move || worker_loop(&shared))
                     .expect("spawn engine worker thread")
             })
@@ -224,6 +224,27 @@ impl Drop for WorkerPool {
             let _ = handle.join();
         }
     }
+}
+
+/// Prefix of the pool threads' names; pool thread `i` is `rexa-worker-{i}`.
+const POOL_THREAD_PREFIX: &str = "rexa-worker-";
+
+/// The timeline lane of the calling thread: `worker {i}` on pool thread
+/// `rexa-worker-{i}`, and `worker t{n}` on any other thread — a submitting
+/// thread joining its own job, or a scoped worker of a pool-less context —
+/// with `n` unique in the process.
+pub fn worker_lane() -> String {
+    static NEXT_OTHER: AtomicUsize = AtomicUsize::new(0);
+    thread_local! {
+        static LANE: String = match std::thread::current()
+            .name()
+            .and_then(|n| n.strip_prefix(POOL_THREAD_PREFIX))
+        {
+            Some(i) => format!("worker {i}"),
+            None => format!("worker t{}", NEXT_OTHER.fetch_add(1, Ordering::Relaxed)),
+        };
+    }
+    LANE.with(String::clone)
 }
 
 fn worker_loop(shared: &PoolShared) {
@@ -333,6 +354,13 @@ impl ExecContext {
         self.spans.as_ref()
     }
 
+    /// A span buffer on the calling thread's lane ([`worker_lane`]), when
+    /// the context traces: every operator a thread works for records onto
+    /// that thread's one lane.
+    pub fn worker_track(&self) -> Option<Arc<SpanBuffer>> {
+        self.spans.as_ref().map(|sc| sc.track(worker_lane()))
+    }
+
     /// Carve `bytes` out of the attached grant. `None` when no grant is
     /// attached or it has fewer than `bytes` left — the caller then charges
     /// the regular accounting instead.
@@ -382,6 +410,33 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicI64;
     use std::time::Duration;
+
+    #[test]
+    fn worker_lanes_name_the_executing_thread() {
+        let pool = WorkerPool::new(2);
+        // Three units meeting at a barrier run on three threads: both pool
+        // workers and the submitting thread.
+        let barrier = std::sync::Barrier::new(3);
+        let lanes = Mutex::new(std::collections::BTreeSet::new());
+        pool.run(3, &|| {
+            lanes.lock().insert(worker_lane());
+            barrier.wait();
+            Ok(())
+        })
+        .unwrap();
+        let caller = worker_lane();
+        assert_eq!(caller, worker_lane(), "a thread keeps its lane");
+        assert!(caller.starts_with("worker t"), "{caller}");
+        let expected: std::collections::BTreeSet<String> = [
+            "worker 0".to_string(),
+            "worker 1".to_string(),
+            caller.clone(),
+        ]
+        .into();
+        assert_eq!(lanes.into_inner(), expected);
+        let other = std::thread::spawn(worker_lane).join().unwrap();
+        assert!(other.starts_with("worker t") && other != caller, "{other}");
+    }
 
     #[test]
     fn pool_runs_all_units() {

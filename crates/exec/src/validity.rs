@@ -76,6 +76,33 @@ impl Validity {
         }
     }
 
+    /// The mask of rows `sel`, in `sel` order. An all-valid source, or a
+    /// selection that picks no NULL, yields a maskless result.
+    pub fn gather(&self, sel: &[u32]) -> Validity {
+        let Some(bits) = &self.bits else {
+            return Validity::all_valid(sel.len());
+        };
+        let mut out = vec![0u64; sel.len().div_ceil(64)];
+        let mut nulls = false;
+        for (i, &r) in sel.iter().enumerate() {
+            let r = r as usize;
+            let bit = (bits[r / 64] >> (r % 64)) & 1;
+            out[i / 64] |= bit << (i % 64);
+            nulls |= bit == 0;
+        }
+        if !nulls {
+            return Validity::all_valid(sel.len());
+        }
+        // Bits past `sel.len()` stay valid, as `push` keeps them.
+        if !sel.len().is_multiple_of(64) {
+            *out.last_mut().expect("non-empty selection") |= u64::MAX << (sel.len() % 64);
+        }
+        Validity {
+            bits: Some(out),
+            len: sel.len(),
+        }
+    }
+
     /// Number of NULL rows.
     pub fn null_count(&self) -> usize {
         match &self.bits {
@@ -153,6 +180,25 @@ mod tests {
         }
         assert!(v.no_nulls());
         assert_eq!(v.len(), 100);
+    }
+
+    #[test]
+    fn gather_keeps_selected_nulls_and_drops_unneeded_masks() {
+        let mut v = Validity::all_valid(200);
+        v.set_invalid(3);
+        v.set_invalid(130);
+        let sel: Vec<u32> = (0..200).step_by(2).collect();
+        let g = v.gather(&sel);
+        assert_eq!(g.len(), 100);
+        assert_eq!(g.null_count(), 1, "row 130 is selected, row 3 is not");
+        assert!(!g.is_valid(65));
+        assert!(v.gather(&[0, 1, 2, 199]).no_nulls());
+        assert!(Validity::all_valid(10).gather(&[9, 0]).no_nulls());
+        assert!(v.gather(&[]).is_empty());
+        // The mask keeps extending correctly after a gather.
+        let mut g = v.gather(&[3]);
+        g.push(true);
+        assert!(!g.is_valid(0) && g.is_valid(1));
     }
 
     #[test]

@@ -50,6 +50,27 @@ impl StrVec {
         // range is valid UTF-8.
         unsafe { std::str::from_utf8_unchecked(&self.bytes[start..end]) }
     }
+
+    /// Overwrite `self` with strings `sel` of `src`, reserving the character
+    /// data once and reusing `self`'s allocations.
+    fn assign_gather(&mut self, src: &StrVec, sel: &[u32]) {
+        let span = |r: u32| src.offsets[r as usize] as usize..src.offsets[r as usize + 1] as usize;
+        self.offsets.clear();
+        self.offsets.reserve(sel.len() + 1);
+        self.offsets.push(0);
+        self.bytes.clear();
+        self.bytes
+            .reserve(sel.iter().map(|&r| span(r).len()).sum::<usize>());
+        for &r in sel {
+            // Whole strings of `src` are copied, so every offset range stays
+            // valid UTF-8.
+            self.bytes.extend_from_slice(&src.bytes[span(r)]);
+            self.offsets.push(
+                u32::try_from(self.bytes.len())
+                    .expect("string vector exceeds 4 GiB of character data"),
+            );
+        }
+    }
 }
 
 impl<S: AsRef<str>> FromIterator<S> for StrVec {
@@ -331,6 +352,36 @@ impl Vector {
         }
     }
 
+    /// Rows `sel` of this vector, in `sel` order, as a new vector.
+    pub fn gather(&self, sel: &[u32]) -> Vector {
+        let mut out = Vector::empty(self.ty);
+        out.assign_gather(self, sel);
+        out
+    }
+
+    /// Overwrite `self` with rows `sel` of `src`, in `sel` order, taking
+    /// `src`'s type and reusing `self`'s buffers when the physical types
+    /// agree: a reader gathering every chunk into the same vector allocates
+    /// only until its buffers reach chunk size.
+    pub fn assign_gather(&mut self, src: &Vector, sel: &[u32]) {
+        fn fill<T: Copy>(out: &mut Vec<T>, src: &[T], sel: &[u32]) {
+            out.clear();
+            out.extend(sel.iter().map(|&r| src[r as usize]));
+        }
+        match (&mut self.data, &src.data) {
+            (VectorData::I32(out), VectorData::I32(v)) => fill(out, v, sel),
+            (VectorData::I64(out), VectorData::I64(v)) => fill(out, v, sel),
+            (VectorData::F64(out), VectorData::F64(v)) => fill(out, v, sel),
+            (VectorData::Str(out), VectorData::Str(v)) => out.assign_gather(v, sel),
+            (data, _) => {
+                *data = VectorData::empty_for(src.ty);
+                return self.assign_gather(src, sel);
+            }
+        }
+        self.ty = src.ty;
+        self.validity = src.validity.gather(sel);
+    }
+
     /// Append an owned value, which must match the vector's type or be NULL.
     pub fn push_value(&mut self, val: &Value) -> Result<()> {
         match (val, &mut self.data) {
@@ -449,6 +500,74 @@ mod tests {
         assert_eq!(s.str_at(0), "cc");
         let empty = v.slice(1, 0);
         assert_eq!(empty.len(), 0);
+    }
+
+    #[test]
+    fn gather_picks_rows_in_selection_order() {
+        let v = Vector::from_i64(vec![10, 11, 12, 13]);
+        assert_eq!(v.gather(&[3, 0, 2]).i64s(), &[13, 10, 12]);
+        let d = Vector::from_dates(vec![5, 6, 7]).gather(&[1]);
+        assert_eq!(d.logical_type(), LogicalType::Date);
+        assert_eq!(d.value(0), Value::Date(6));
+        assert_eq!(
+            Vector::from_f64(vec![0.5, -1.0]).gather(&[1]).f64s(),
+            &[-1.0]
+        );
+    }
+
+    #[test]
+    fn gather_carries_nulls_and_drops_an_unneeded_mask() {
+        let vals = vec![Value::Int32(1), Value::Null, Value::Int32(3), Value::Null];
+        let v = Vector::from_values(LogicalType::Int32, &vals).unwrap();
+        let g = v.gather(&[0, 1, 2]);
+        assert_eq!(
+            (0..3).map(|i| g.value(i)).collect::<Vec<_>>(),
+            vals[..3].to_vec()
+        );
+        assert!(v.gather(&[0, 2]).validity().no_nulls());
+    }
+
+    #[test]
+    fn gather_strings_with_nulls() {
+        let vals = vec![
+            Value::Varchar("alpha".into()),
+            Value::Null,
+            Value::Varchar(String::new()),
+            Value::Varchar("a much longer string value".into()),
+        ];
+        let v = Vector::from_values(LogicalType::Varchar, &vals).unwrap();
+        let g = v.gather(&[3, 1, 2, 0]);
+        assert_eq!(g.value(0), vals[3]);
+        assert_eq!(g.value(1), Value::Null);
+        assert_eq!(g.value(2), vals[2]);
+        assert_eq!(g.value(3), vals[0]);
+        assert_eq!(g.strs().len(), 4);
+    }
+
+    #[test]
+    fn gather_empty_and_full_selections() {
+        let v = Vector::from_strs(["x", "yy", "zzz"]);
+        let empty = v.gather(&[]);
+        assert!(empty.is_empty());
+        assert_eq!(empty.logical_type(), LogicalType::Varchar);
+        assert_eq!(v.gather(&[0, 1, 2]), v);
+        let n = Vector::from_values(LogicalType::Int64, &[Value::Null, Value::Int64(2)]).unwrap();
+        assert_eq!(n.gather(&[0, 1]).validity().null_count(), 1);
+    }
+
+    #[test]
+    fn assign_gather_reuses_and_retypes_the_target() {
+        let mut out = Vector::from_i64(vec![0; 8]);
+        out.assign_gather(&Vector::from_i64(vec![1, 2, 3]), &[2]);
+        assert_eq!(out.i64s(), &[3]);
+        // A target of another physical type is replaced.
+        out.assign_gather(&Vector::from_strs(["p", "q"]), &[1, 0]);
+        assert_eq!(out.logical_type(), LogicalType::Varchar);
+        assert_eq!((out.str_at(0), out.str_at(1)), ("q", "p"));
+        // Same physical type, different logical type (INT32 vs DATE).
+        let mut out = Vector::from_i32(vec![9]);
+        out.assign_gather(&Vector::from_dates(vec![4, 5]), &[0]);
+        assert_eq!(out.value(0), Value::Date(4));
     }
 
     #[test]

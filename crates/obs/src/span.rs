@@ -308,28 +308,6 @@ impl SpanCollector {
         buf
     }
 
-    /// Register a buffer labeled `"{prefix} {n}"` where `n` counts the
-    /// buffers already registered with the same prefix — dense per-worker
-    /// lanes for call sites that have no worker id of their own.
-    pub fn track_indexed(&self, prefix: &str) -> Arc<SpanBuffer> {
-        let mut buffers = self.buffers.lock();
-        let n = buffers
-            .iter()
-            .filter(|b| {
-                b.track()
-                    .strip_prefix(prefix)
-                    .is_some_and(|rest| rest.starts_with(' '))
-            })
-            .count();
-        let buf = Arc::new(SpanBuffer::new(
-            format!("{prefix} {n}"),
-            self.epoch,
-            self.capacity,
-        ));
-        buffers.push(Arc::clone(&buf));
-        buf
-    }
-
     /// Merge every buffer into one timeline: tracks deduplicated by label
     /// (registration order), spans sorted by start time. Non-destructive —
     /// buffers keep recording and a later merge sees the union.

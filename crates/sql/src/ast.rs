@@ -161,20 +161,6 @@ impl CmpOp {
             CmpOp::Ge => ">=",
         }
     }
-
-    /// Does `ord` (of `left.cmp(right)`) satisfy the operator?
-    pub fn matches(self, ord: std::cmp::Ordering) -> bool {
-        use std::cmp::Ordering::*;
-        matches!(
-            (self, ord),
-            (CmpOp::Eq, Equal)
-                | (CmpOp::Ne, Less | Greater)
-                | (CmpOp::Lt, Less)
-                | (CmpOp::Le, Less | Equal)
-                | (CmpOp::Gt, Greater)
-                | (CmpOp::Ge, Greater | Equal)
-        )
-    }
 }
 
 impl fmt::Display for ColumnRef {

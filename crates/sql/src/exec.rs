@@ -11,12 +11,15 @@
 //! plan.
 //!
 //! `WHERE` is applied by a filtering [`ChunkSource`] wrapper in front of
-//! the aggregate (each passing row is copied into a fresh chunk — fine for
-//! a front end whose hot path is the aggregation itself). `HAVING` and the
-//! select-list projection run inside the output consumer, and `ORDER BY` /
-//! `LIMIT` buffer the (small, post-aggregation) result for a final sort.
+//! the aggregate: the predicate narrows a selection vector a chunk at a
+//! time ([`Predicate::select`](crate::plan::Predicate::select)), and the
+//! survivors of only the columns read above the filter
+//! ([`FilterNode::keep`]) are gathered, column by column, into a chunk the
+//! reader reuses. `HAVING` (the same selection kernels) and the select-list
+//! projection run inside the output consumer, and `ORDER BY` / `LIMIT`
+//! buffer the (small, post-aggregation) result for a final sort.
 
-use crate::plan::{PhysicalPlan, Predicate};
+use crate::plan::{FilterNode, PhysicalPlan};
 use rexa_buffer::{BufferManager, BufferStats};
 use rexa_core::{
     hash_aggregate_streaming, hash_join_streaming, ungrouped_aggregate, AggregateConfig,
@@ -24,7 +27,7 @@ use rexa_core::{
 };
 use rexa_exec::pipeline::{CancelToken, ChunkReader, ChunkSource, CollectionSource};
 use rexa_exec::pool::ExecContext;
-use rexa_exec::{ChunkCollection, DataChunk, LogicalType, Result, Value, VECTOR_SIZE};
+use rexa_exec::{ChunkCollection, DataChunk, Result, Value, VECTOR_SIZE};
 use rexa_obs::ProfileCollector;
 use std::cmp::Ordering;
 use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
@@ -107,11 +110,10 @@ pub fn execute_streaming(
 
     let filter_storage;
     let input_src: &dyn ChunkSource = match &plan.filter {
-        Some(pred) => {
+        Some(filter) => {
             filter_storage = FilterSource {
                 inner: base_src,
-                pred,
-                schema: &plan.input_schema,
+                filter,
             };
             &filter_storage
         }
@@ -148,21 +150,19 @@ pub fn execute_streaming(
         match &plan.having {
             None => deliver(&chunk),
             Some(h) => {
-                let mut kept = DataChunk::empty(&plan.agg_output_schema);
-                for r in 0..chunk.len() {
-                    if h.eval(&chunk, r) {
-                        kept.push_row(&chunk.row(r))?;
-                    }
-                }
-                if kept.is_empty() {
+                let mut sel: Vec<u32> = (0..chunk.len() as u32).collect();
+                h.select(&chunk, &mut sel);
+                if sel.is_empty() {
                     Ok(())
+                } else if sel.len() == chunk.len() {
+                    deliver(&chunk)
                 } else {
-                    deliver(&kept)
+                    deliver(&chunk.gather(&sel))
                 }
             }
         }
     };
-    let run = match &plan.aggregate {
+    let run = match &plan.agg_input_plan {
         Some(agg) if !agg.group_cols.is_empty() => {
             // Promote the planner's sorted-input verdict into the config:
             // a declared-sorted scan skips the sortedness sampling and
@@ -175,7 +175,7 @@ pub fn execute_streaming(
             hash_aggregate_streaming(
                 mgr,
                 input_src,
-                &plan.input_schema,
+                &plan.agg_input_schema,
                 agg,
                 &agg_config,
                 ctx,
@@ -187,7 +187,7 @@ pub fn execute_streaming(
             let t0 = Instant::now();
             let values = ungrouped_aggregate(
                 input_src,
-                &plan.input_schema,
+                &plan.agg_input_schema,
                 &agg.aggregates,
                 config.threads,
                 ctx,
@@ -322,21 +322,21 @@ fn make_source<'a>(
     }
 }
 
-/// A [`ChunkSource`] that applies a row predicate, materializing passing
-/// rows into fresh chunks.
+/// A [`ChunkSource`] that applies `WHERE`: each chunk's predicate narrows
+/// a selection vector, and the selected rows of the kept columns are
+/// gathered into the reader's chunk.
 struct FilterSource<'a> {
     inner: &'a dyn ChunkSource,
-    pred: &'a Predicate,
-    schema: &'a [LogicalType],
+    filter: &'a FilterNode,
 }
 
 impl ChunkSource for FilterSource<'_> {
     fn reader(&self) -> Box<dyn ChunkReader + '_> {
         Box::new(FilterReader {
             inner: self.inner.reader(),
-            pred: self.pred,
-            schema: self.schema,
-            buf: DataChunk::empty(self.schema),
+            filter: self.filter,
+            sel: Vec::with_capacity(VECTOR_SIZE),
+            buf: DataChunk::empty(&[]),
         })
     }
 
@@ -348,9 +348,11 @@ impl ChunkSource for FilterSource<'_> {
 
 struct FilterReader<'a> {
     inner: Box<dyn ChunkReader + 'a>,
-    pred: &'a Predicate,
-    schema: &'a [LogicalType],
-    /// The chunk lent out by the last `next()` call.
+    filter: &'a FilterNode,
+    /// The selection vector, reused across chunks.
+    sel: Vec<u32>,
+    /// The chunk lent out by the last `next()` call; its buffers are
+    /// reused by the next gather.
     buf: DataChunk,
 }
 
@@ -360,17 +362,18 @@ impl ChunkReader for FilterReader<'_> {
             let Some(chunk) = self.inner.next()? else {
                 return Ok(None);
             };
-            let mut out = DataChunk::empty(self.schema);
-            for r in 0..chunk.len() {
-                if self.pred.eval(chunk, r) {
-                    out.push_row(&chunk.row(r))?;
-                }
-            }
-            if out.is_empty() {
+            self.sel.clear();
+            self.sel.extend(0..chunk.len() as u32);
+            self.filter.predicate.select(chunk, &mut self.sel);
+            if self.sel.is_empty() {
                 continue;
             }
-            self.buf = out;
+            chunk.gather_into(&self.filter.keep, &self.sel, &mut self.buf);
             return Ok(Some(&self.buf));
         }
+    }
+
+    fn morsels_claimed(&self) -> u64 {
+        self.inner.morsels_claimed()
     }
 }

@@ -63,6 +63,8 @@
 //! assert_eq!(stats.rows_out, 4);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod ast;
 pub mod catalog;
 pub mod error;

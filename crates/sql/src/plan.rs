@@ -26,15 +26,15 @@ use crate::error::{Span, SqlError};
 use rexa_core::function::bind_aggregate;
 use rexa_core::{AggregateSpec, HashAggregatePlan, HashJoinPlan};
 use rexa_exec::vector::VectorData;
-use rexa_exec::{DataChunk, LogicalType, Value, Vector};
+use rexa_exec::{DataChunk, LogicalType, Validity, Value, Vector};
 use std::cmp::Ordering;
 use std::sync::Arc;
 
 pub use crate::ast::CmpOp;
 
-/// A bound filter predicate, evaluated row-at-a-time over a [`DataChunk`].
-/// SQL three-valued logic collapses at the filter: a comparison involving
-/// NULL is not satisfied.
+/// A bound filter predicate, evaluated a chunk at a time into a selection
+/// vector ([`Predicate::select`]). SQL three-valued logic collapses at the
+/// filter: a comparison involving NULL is not satisfied.
 #[derive(Clone, Debug)]
 pub enum Predicate {
     /// `column <op> literal` (literal already coerced to the column type).
@@ -54,52 +54,142 @@ pub enum Predicate {
 }
 
 impl Predicate {
-    /// Does row `row` of `chunk` satisfy the predicate?
-    pub fn eval(&self, chunk: &DataChunk, row: usize) -> bool {
+    /// Narrow `sel` — ascending row indices of `chunk` — in place to the
+    /// rows that satisfy the predicate. The survivors stay ascending, so a
+    /// filter built on this preserves row order.
+    pub fn select(&self, chunk: &DataChunk, sel: &mut Vec<u32>) {
         match self {
-            Predicate::CmpLit { col, op, lit } => {
-                cmp_value_lit(chunk.column(*col), row, lit).is_some_and(|ord| op.matches(ord))
-            }
+            Predicate::CmpLit { col, op, lit } => select_lit(chunk.column(*col), *op, lit, sel),
             Predicate::CmpCols { left, op, right } => {
-                cmp_cols(chunk.column(*left), chunk.column(*right), row)
-                    .is_some_and(|ord| op.matches(ord))
+                select_cols(chunk.column(*left), chunk.column(*right), *op, sel)
             }
-            Predicate::And(l, r) => l.eval(chunk, row) && r.eval(chunk, row),
-            Predicate::Or(l, r) => l.eval(chunk, row) || r.eval(chunk, row),
+            Predicate::And(l, r) => {
+                l.select(chunk, sel);
+                if !sel.is_empty() {
+                    r.select(chunk, sel);
+                }
+            }
+            Predicate::Or(l, r) => {
+                // The right side sees only the candidates the left side
+                // rejected; the two disjoint survivor lists merge back into
+                // one ascending list.
+                let mut rejected = sel.clone();
+                l.select(chunk, sel);
+                let mut passed = sel.iter().peekable();
+                rejected.retain(|row| {
+                    while passed.next_if(|&p| p < row).is_some() {}
+                    passed.peek() != Some(&row)
+                });
+                r.select(chunk, &mut rejected);
+                if !rejected.is_empty() {
+                    let left = std::mem::take(sel);
+                    *sel = merge_ascending(&left, &rejected);
+                }
+            }
         }
     }
 }
 
-/// Compare one row's cell against a coerced literal without materializing a
-/// [`Value`] (no string allocation on the hot filter path). `None` = NULL.
-fn cmp_value_lit(vec: &Vector, row: usize, lit: &Value) -> Option<Ordering> {
-    if !vec.validity().is_valid(row) {
-        return None;
+/// The ascending union of two disjoint ascending lists.
+fn merge_ascending(a: &[u32], b: &[u32]) -> Vec<u32> {
+    let mut out = Vec::with_capacity(a.len() + b.len());
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        if a[i] < b[j] {
+            out.push(a[i]);
+            i += 1;
+        } else {
+            out.push(b[j]);
+            j += 1;
+        }
     }
-    match (vec.data(), lit) {
-        (VectorData::I32(_), Value::Int32(x)) => Some(vec.i32s()[row].cmp(x)),
-        (VectorData::I32(_), Value::Date(x)) => Some(vec.i32s()[row].cmp(x)),
-        (VectorData::I64(_), Value::Int64(x)) => Some(vec.i64s()[row].cmp(x)),
-        (VectorData::F64(_), Value::Float64(x)) => Some(vec.f64s()[row].total_cmp(x)),
-        (VectorData::Str(_), Value::Varchar(s)) => Some(vec.str_at(row).cmp(s.as_str())),
-        // The binder coerces literals to the column type, so this arm is
-        // unreachable for bound plans; treat as not-satisfied, never panic.
-        _ => None,
+    out.extend_from_slice(&a[i..]);
+    out.extend_from_slice(&b[j..]);
+    out
+}
+
+/// Keep the candidates in `sel` for which `pass(row)` holds, in place and
+/// in order. The store is unconditional and only the write cursor depends
+/// on the outcome, so the loop does not branch on the data.
+#[inline(always)]
+fn compact(sel: &mut Vec<u32>, pass: impl Fn(usize) -> bool) {
+    let mut n = 0;
+    for i in 0..sel.len() {
+        let r = sel[i];
+        sel[n] = r;
+        n += usize::from(pass(r as usize));
+    }
+    sel.truncate(n);
+}
+
+/// [`compact`] on `ord(row)` satisfying `op`, with `op` dispatched once per
+/// call rather than per row, and rows NULL in any of `validity` dropped —
+/// checked only when some mask has NULLs.
+#[inline(always)]
+fn narrow(op: CmpOp, validity: &[&Validity], sel: &mut Vec<u32>, ord: impl Fn(usize) -> Ordering) {
+    #[inline(always)]
+    fn by(validity: &[&Validity], sel: &mut Vec<u32>, pass: impl Fn(usize) -> bool) {
+        if validity.iter().all(|v| v.no_nulls()) {
+            compact(sel, pass);
+        } else {
+            compact(sel, |r| validity.iter().all(|v| v.is_valid(r)) && pass(r));
+        }
+    }
+    match op {
+        CmpOp::Eq => by(validity, sel, |r| ord(r).is_eq()),
+        CmpOp::Ne => by(validity, sel, |r| ord(r).is_ne()),
+        CmpOp::Lt => by(validity, sel, |r| ord(r).is_lt()),
+        CmpOp::Le => by(validity, sel, |r| ord(r).is_le()),
+        CmpOp::Gt => by(validity, sel, |r| ord(r).is_gt()),
+        CmpOp::Ge => by(validity, sel, |r| ord(r).is_ge()),
     }
 }
 
-/// Compare two same-typed cells of one row. `None` when either is NULL.
-fn cmp_cols(a: &Vector, b: &Vector, row: usize) -> Option<Ordering> {
-    if !a.validity().is_valid(row) || !b.validity().is_valid(row) {
-        return None;
+/// `column <op> literal` over the candidates: one loop per physical type.
+fn select_lit(vec: &Vector, op: CmpOp, lit: &Value, sel: &mut Vec<u32>) {
+    let valid = &[vec.validity()];
+    match (vec.data(), lit) {
+        (VectorData::I32(v), Value::Int32(x) | Value::Date(x)) => {
+            narrow(op, valid, sel, |r| v[r].cmp(x))
+        }
+        (VectorData::I64(v), Value::Int64(x)) => narrow(op, valid, sel, |r| v[r].cmp(x)),
+        (VectorData::F64(v), Value::Float64(x)) => narrow(op, valid, sel, |r| v[r].total_cmp(x)),
+        (VectorData::Str(v), Value::Varchar(x)) => {
+            narrow(op, valid, sel, |r| v.get(r).cmp(x.as_str()))
+        }
+        // The binder coerces literals to the column type, so this arm is
+        // unreachable for bound plans; treat as not-satisfied, never panic.
+        _ => sel.clear(),
     }
+}
+
+/// `column <op> column` over the candidates (the binder guarantees equal
+/// types): one loop per physical type.
+fn select_cols(a: &Vector, b: &Vector, op: CmpOp, sel: &mut Vec<u32>) {
+    let valid = &[a.validity(), b.validity()];
     match (a.data(), b.data()) {
-        (VectorData::I32(_), VectorData::I32(_)) => Some(a.i32s()[row].cmp(&b.i32s()[row])),
-        (VectorData::I64(_), VectorData::I64(_)) => Some(a.i64s()[row].cmp(&b.i64s()[row])),
-        (VectorData::F64(_), VectorData::F64(_)) => Some(a.f64s()[row].total_cmp(&b.f64s()[row])),
-        (VectorData::Str(_), VectorData::Str(_)) => Some(a.str_at(row).cmp(b.str_at(row))),
-        _ => None,
+        (VectorData::I32(x), VectorData::I32(y)) => narrow(op, valid, sel, |r| x[r].cmp(&y[r])),
+        (VectorData::I64(x), VectorData::I64(y)) => narrow(op, valid, sel, |r| x[r].cmp(&y[r])),
+        (VectorData::F64(x), VectorData::F64(y)) => {
+            narrow(op, valid, sel, |r| x[r].total_cmp(&y[r]))
+        }
+        (VectorData::Str(x), VectorData::Str(y)) => {
+            narrow(op, valid, sel, |r| x.get(r).cmp(y.get(r)))
+        }
+        _ => sel.clear(),
     }
+}
+
+/// `WHERE`: the predicate and the columns the filter passes up.
+#[derive(Clone, Debug)]
+pub struct FilterNode {
+    /// The predicate, bound over [`PhysicalPlan::input_schema`].
+    pub predicate: Predicate,
+    /// The `input_schema` columns the operators above the filter read,
+    /// ascending: the grouping columns and aggregate arguments, or the
+    /// projection when there is no aggregation. The filter gathers only
+    /// these; `COUNT(*)` alone keeps none.
+    pub keep: Vec<usize>,
 }
 
 /// One `ORDER BY` key over the projected output.
@@ -129,21 +219,28 @@ pub struct PhysicalPlan {
     pub left: Arc<CatalogTable>,
     /// Optional hash join against a second table.
     pub join: Option<JoinNode>,
-    /// Schema the filter and aggregation see: left columns, then (joined)
-    /// right columns.
+    /// Schema of the scan: left columns, then (joined) right columns.
+    /// `filter` and `aggregate` index it.
     pub input_schema: Vec<LogicalType>,
-    /// `WHERE`, bound over `input_schema`.
-    pub filter: Option<Predicate>,
-    /// The aggregation, when the query groups or aggregates. Empty
-    /// `group_cols` selects the ungrouped (single-row) path.
+    /// `WHERE`, bound over `input_schema`, and the columns it passes up.
+    pub filter: Option<FilterNode>,
+    /// The aggregation over `input_schema`, when the query groups or
+    /// aggregates. Empty `group_cols` selects the ungrouped (single-row)
+    /// path. Footprint estimates read this; execution runs
+    /// `agg_input_plan`.
     pub aggregate: Option<HashAggregatePlan>,
-    /// Schema of the aggregate's output (group keys then aggregates), or of
-    /// the input when there is no aggregation.
+    /// Schema of the chunks the aggregation — or, without one, the
+    /// projection — reads: `input_schema` narrowed to the filter's kept
+    /// columns, or `input_schema` itself when there is no filter.
+    pub agg_input_schema: Vec<LogicalType>,
+    /// `aggregate` with its columns remapped onto `agg_input_schema`.
+    pub agg_input_plan: Option<HashAggregatePlan>,
+    /// Schema of the aggregate's output (group keys then aggregates), or
+    /// `agg_input_schema` when there is no aggregation.
     pub agg_output_schema: Vec<LogicalType>,
     /// `HAVING`, bound over `agg_output_schema`.
     pub having: Option<Predicate>,
-    /// Select-list projection over `agg_output_schema` (or the input schema
-    /// when there is no aggregation).
+    /// Select-list projection over `agg_output_schema`.
     pub projection: Vec<usize>,
     /// Output column names, parallel to `projection`.
     pub output_names: Vec<String>,
@@ -220,8 +317,13 @@ impl PhysicalPlan {
                 &mut indent,
             );
         }
-        if self.filter.is_some() {
-            line("FILTER (where)".into(), &mut indent);
+        if let Some(f) = &self.filter {
+            let names = self.input_scope().output_star_names();
+            let kept: Vec<&str> = f.keep.iter().map(|&c| names[c].as_str()).collect();
+            line(
+                format!("FILTER (where) keep=[{}]", kept.join(", ")),
+                &mut indent,
+            );
         }
         if let Some(j) = &self.join {
             line(
@@ -235,6 +337,14 @@ impl PhysicalPlan {
             line(format!("SCAN {}", self.left.name), &mut indent);
         }
         out
+    }
+
+    /// Name resolution over the scanned tables.
+    fn input_scope(&self) -> Scope {
+        match &self.join {
+            None => Scope::single(Arc::clone(&self.left)),
+            Some(j) => Scope::joined(Arc::clone(&self.left), Arc::clone(&j.right)),
+        }
     }
 }
 
@@ -299,7 +409,7 @@ pub fn bind(query: &Query, catalog: &Catalog) -> Result<PhysicalPlan, SqlError> 
     };
     let input_schema = scope.schema.clone();
 
-    let filter = match &query.where_clause {
+    let predicate = match &query.where_clause {
         None => None,
         Some(expr) => {
             if expr.has_aggregate() {
@@ -325,7 +435,7 @@ pub fn bind(query: &Query, catalog: &Catalog) -> Result<PhysicalPlan, SqlError> 
         aggregates: Vec::new(),
     };
 
-    let (aggregate, agg_output_schema, having, outputs) = if wants_aggregation {
+    let (aggregate, mut agg_output_schema, having, outputs) = if wants_aggregation {
         if query.star {
             return Err(SqlError::bind(
                 "SELECT * cannot be combined with GROUP BY or aggregates",
@@ -403,7 +513,7 @@ pub fn bind(query: &Query, catalog: &Catalog) -> Result<PhysicalPlan, SqlError> 
         (None, input_schema.clone(), None, outputs)
     };
 
-    let projection: Vec<usize> = outputs.iter().map(|o| o.slot).collect();
+    let mut projection: Vec<usize> = outputs.iter().map(|o| o.slot).collect();
     let output_names: Vec<String> = outputs.iter().map(|o| o.name.clone()).collect();
     let output_types: Vec<LogicalType> = projection.iter().map(|&i| agg_output_schema[i]).collect();
 
@@ -444,12 +554,57 @@ pub fn bind(query: &Query, catalog: &Catalog) -> Result<PhysicalPlan, SqlError> 
         _ => false,
     };
 
+    // The filter passes up only the columns read above it, and the
+    // aggregate (or, without one, the projection) is remapped onto them.
+    // It keeps row order, so `input_sorted` — decided over the scan schema
+    // above — still holds.
+    let (filter, agg_input_schema, agg_input_plan) = match predicate {
+        None => (None, input_schema.clone(), aggregate.clone()),
+        Some(predicate) => {
+            let mut keep: Vec<usize> = match &aggregate {
+                Some(agg) => agg
+                    .group_cols
+                    .iter()
+                    .copied()
+                    .chain(agg.aggregates.iter().filter_map(|a| a.arg))
+                    .collect(),
+                None => projection.clone(),
+            };
+            keep.sort_unstable();
+            keep.dedup();
+            let slot = |c: usize| keep.binary_search(&c).expect("kept column");
+            let kept_schema: Vec<LogicalType> = keep.iter().map(|&c| input_schema[c]).collect();
+            let agg_input_plan = aggregate.as_ref().map(|agg| HashAggregatePlan {
+                group_cols: agg.group_cols.iter().map(|&c| slot(c)).collect(),
+                aggregates: agg
+                    .aggregates
+                    .iter()
+                    .map(|a| AggregateSpec {
+                        arg: a.arg.map(slot),
+                        ..*a
+                    })
+                    .collect(),
+            });
+            if aggregate.is_none() {
+                projection = projection.iter().map(|&c| slot(c)).collect();
+                agg_output_schema = kept_schema.clone();
+            }
+            (
+                Some(FilterNode { predicate, keep }),
+                kept_schema,
+                agg_input_plan,
+            )
+        }
+    };
+
     Ok(PhysicalPlan {
         left,
         join,
         input_schema,
         filter,
         aggregate,
+        agg_input_schema,
+        agg_input_plan,
         agg_output_schema,
         having,
         projection,
@@ -1012,6 +1167,215 @@ fn bind_order_key(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rexa_exec::ChunkCollection;
+
+    /// A catalog holding one empty table `t` with the given columns.
+    fn catalog(columns: &[(&str, LogicalType)]) -> Catalog {
+        let types = columns.iter().map(|&(_, t)| t).collect();
+        let names = columns.iter().map(|&(n, _)| n.to_string()).collect();
+        let mut catalog = Catalog::new();
+        catalog
+            .register_collection("t", names, Arc::new(ChunkCollection::new(types)))
+            .unwrap();
+        catalog
+    }
+
+    /// The rows of `chunk` that `pred` selects.
+    fn selected(pred: &Predicate, chunk: &DataChunk) -> Vec<u32> {
+        let mut sel: Vec<u32> = (0..chunk.len() as u32).collect();
+        pred.select(chunk, &mut sel);
+        sel
+    }
+
+    fn cmp_lit(col: usize, op: CmpOp, lit: Value) -> Predicate {
+        Predicate::CmpLit { col, op, lit }
+    }
+
+    #[test]
+    fn lowcard_query_keeps_and_remaps_only_the_aggregate_columns() {
+        use LogicalType::*;
+        let lineitem = [
+            ("l_orderkey", Int64),
+            ("l_partkey", Int64),
+            ("l_suppkey", Int64),
+            ("l_linenumber", Int32),
+            ("l_quantity", Int64),
+            ("l_extendedprice", Int64),
+            ("l_discount", Int64),
+            ("l_tax", Int64),
+            ("l_returnflag", Varchar),
+            ("l_linestatus", Varchar),
+            ("l_shipdate", Date),
+            ("l_commitdate", Date),
+            ("l_receiptdate", Date),
+            ("l_shipinstruct", Varchar),
+            ("l_shipmode", Varchar),
+            ("l_comment", Varchar),
+        ];
+        let plan = plan(
+            "SELECT l_returnflag, l_linestatus, SUM(l_quantity), SUM(l_extendedprice), \
+             SUM(l_discount), MIN(l_tax), MAX(l_extendedprice), COUNT(*) \
+             FROM t WHERE l_shipdate <= '1997-12-01' GROUP BY l_returnflag, l_linestatus",
+            &catalog(&lineitem),
+        )
+        .unwrap();
+        let filter = plan.filter.as_ref().unwrap();
+        // The predicate reads the scan schema; the filter passes up the six
+        // columns the aggregate reads, in scan order.
+        assert!(matches!(
+            filter.predicate,
+            Predicate::CmpLit { col: 10, .. }
+        ));
+        assert_eq!(filter.keep, vec![4, 5, 6, 7, 8, 9]);
+        assert_eq!(
+            plan.agg_input_schema,
+            vec![Int64, Int64, Int64, Int64, Varchar, Varchar]
+        );
+        // `aggregate` stays over the scan schema; `agg_input_plan` is the
+        // same plan over the kept columns.
+        let scan = plan.aggregate.as_ref().unwrap();
+        assert_eq!(scan.group_cols, vec![8, 9]);
+        let agg = plan.agg_input_plan.as_ref().unwrap();
+        assert_eq!(agg.group_cols, vec![4, 5]);
+        let args: Vec<Option<usize>> = agg.aggregates.iter().map(|a| a.arg).collect();
+        assert_eq!(
+            args,
+            vec![Some(0), Some(1), Some(2), Some(3), Some(1), None]
+        );
+        let kinds = |p: &HashAggregatePlan| p.aggregates.iter().map(|a| a.kind).collect::<Vec<_>>();
+        assert_eq!(kinds(agg), kinds(scan));
+        assert!(plan.explain().contains(
+            "FILTER (where) keep=[l_quantity, l_extendedprice, l_discount, l_tax, \
+             l_returnflag, l_linestatus]"
+        ));
+    }
+
+    #[test]
+    fn plain_scan_filter_keeps_the_projection_and_count_star_keeps_nothing() {
+        use LogicalType::*;
+        let cat = catalog(&[("a", Int64), ("b", Varchar), ("c", Date), ("d", Float64)]);
+        let p = plan("SELECT d, b FROM t WHERE a > 1 ORDER BY b", &cat).unwrap();
+        assert_eq!(p.filter.as_ref().unwrap().keep, vec![1, 3]);
+        assert_eq!(p.agg_input_schema, vec![Varchar, Float64]);
+        assert_eq!(p.agg_output_schema, p.agg_input_schema);
+        assert_eq!(p.projection, vec![1, 0]);
+        assert_eq!(p.output_types, vec![Float64, Varchar]);
+        assert!(p.explain().contains("FILTER (where) keep=[b, d]"));
+
+        let p = plan("SELECT COUNT(*) FROM t WHERE c >= 3", &cat).unwrap();
+        assert!(p.filter.as_ref().unwrap().keep.is_empty());
+        assert!(p.agg_input_schema.is_empty());
+
+        // Without a WHERE nothing is narrowed.
+        let p = plan("SELECT b, SUM(a) FROM t GROUP BY b", &cat).unwrap();
+        assert_eq!(p.agg_input_schema, p.input_schema);
+        assert_eq!(p.agg_input_plan.unwrap().group_cols, vec![1]);
+    }
+
+    #[test]
+    fn select_applies_every_operator_per_type() {
+        let chunk = DataChunk::new(vec![
+            Vector::from_i32(vec![1, 2, 3]),
+            Vector::from_i64(vec![1, 2, 3]),
+            Vector::from_f64(vec![1.0, 2.0, 3.0]),
+            Vector::from_strs(["a", "b", "c"]),
+            Vector::from_dates(vec![1, 2, 3]),
+        ]);
+        let lits = [
+            Value::Int32(2),
+            Value::Int64(2),
+            Value::Float64(2.0),
+            Value::Varchar("b".into()),
+            Value::Date(2),
+        ];
+        let expected: [(CmpOp, &[u32]); 6] = [
+            (CmpOp::Eq, &[1]),
+            (CmpOp::Ne, &[0, 2]),
+            (CmpOp::Lt, &[0]),
+            (CmpOp::Le, &[0, 1]),
+            (CmpOp::Gt, &[2]),
+            (CmpOp::Ge, &[1, 2]),
+        ];
+        for (col, lit) in lits.iter().enumerate() {
+            for (op, want) in expected {
+                let got = selected(&cmp_lit(col, op, lit.clone()), &chunk);
+                assert_eq!(got, want, "column {col} {op:?} {lit:?}");
+            }
+        }
+        // A literal of the wrong type (never bound) selects nothing.
+        assert!(selected(&cmp_lit(0, CmpOp::Ne, Value::Int64(9)), &chunk).is_empty());
+    }
+
+    #[test]
+    fn select_drops_nulls_on_either_side() {
+        let a = Vector::from_values(
+            LogicalType::Int64,
+            &[
+                Value::Int64(1),
+                Value::Null,
+                Value::Int64(3),
+                Value::Int64(4),
+            ],
+        )
+        .unwrap();
+        let b = Vector::from_values(
+            LogicalType::Int64,
+            &[
+                Value::Int64(1),
+                Value::Int64(2),
+                Value::Null,
+                Value::Int64(4),
+            ],
+        )
+        .unwrap();
+        let chunk = DataChunk::new(vec![a, b]);
+        let eq = Predicate::CmpCols {
+            left: 0,
+            op: CmpOp::Eq,
+            right: 1,
+        };
+        assert_eq!(selected(&eq, &chunk), vec![0, 3]);
+        let ne = Predicate::CmpCols {
+            left: 0,
+            op: CmpOp::Ne,
+            right: 1,
+        };
+        assert!(selected(&ne, &chunk).is_empty());
+        assert_eq!(
+            selected(&cmp_lit(0, CmpOp::Ne, Value::Int64(3)), &chunk),
+            vec![0, 3]
+        );
+    }
+
+    #[test]
+    fn or_merges_survivors_in_ascending_order_and_and_narrows() {
+        let chunk = DataChunk::new(vec![Vector::from_i64((0..10).collect())]);
+        let lt3 = cmp_lit(0, CmpOp::Lt, Value::Int64(3));
+        let gt6 = cmp_lit(0, CmpOp::Gt, Value::Int64(6));
+        let odd = Predicate::Or(
+            Box::new(Predicate::Or(
+                Box::new(cmp_lit(0, CmpOp::Eq, Value::Int64(7))),
+                Box::new(cmp_lit(0, CmpOp::Eq, Value::Int64(1))),
+            )),
+            Box::new(cmp_lit(0, CmpOp::Eq, Value::Int64(5))),
+        );
+        let either = Predicate::Or(Box::new(gt6.clone()), Box::new(lt3.clone()));
+        assert_eq!(selected(&either, &chunk), vec![0, 1, 2, 7, 8, 9]);
+        assert_eq!(selected(&odd, &chunk), vec![1, 5, 7]);
+        let both = Predicate::And(Box::new(either), Box::new(odd));
+        assert_eq!(selected(&both, &chunk), vec![1, 7]);
+        // Rows the left side already passed are not selected twice.
+        let overlap = Predicate::Or(Box::new(lt3.clone()), Box::new(lt3));
+        assert_eq!(selected(&overlap, &chunk), vec![0, 1, 2]);
+        // A pre-narrowed candidate list is respected.
+        let mut sel = vec![2, 4, 8];
+        Predicate::Or(
+            Box::new(gt6),
+            Box::new(cmp_lit(0, CmpOp::Eq, Value::Int64(2))),
+        )
+        .select(&chunk, &mut sel);
+        assert_eq!(sel, vec![2, 8]);
+    }
 
     #[test]
     fn date_parsing_matches_epoch_days() {

@@ -909,6 +909,19 @@ fn traced_sql_join_and_global_aggregate_run_on_the_query_context() {
     assert!(pipelines >= 2, "join pipeline spans: {pipelines}");
     assert!(tasks >= 1, "join partition task spans: {tasks}");
     assert_eq!(queue_waits, 1);
+    // Lanes name threads, not operator invocations: the join's build,
+    // probe and partition tasks and the aggregate's workers share at most
+    // the pool's two lanes plus the submitting thread's.
+    let timeline = &out.stats.profile.timeline;
+    let lanes: Vec<&String> = timeline
+        .tracks
+        .iter()
+        .filter(|t| t.starts_with("worker"))
+        .collect();
+    assert!(
+        !lanes.is_empty() && lanes.len() <= 3,
+        "worker lanes: {lanes:?}"
+    );
 
     let (pipelines, _, queue_waits, out) = traced("SELECT SUM(v), COUNT(*) FROM f");
     let rows = out.output.as_ref().unwrap();

@@ -30,6 +30,7 @@ use rexa_service::{QueryInput, QueryOptions, QueryService, ServiceConfig};
 use rexa_sql::{Catalog, SqlError};
 use rexa_storage::scratch_dir;
 use rexa_tpch::{generate_lineitem, LineitemColumn};
+use std::cmp::Ordering;
 use std::sync::Arc;
 
 fn build_collection(types: &[LogicalType], rows: &[Vec<Value>]) -> ChunkCollection {
@@ -96,16 +97,15 @@ fn rows_bits_eq(a: &[Vec<Value>], b: &[Vec<Value>]) -> bool {
 }
 
 /// One generated differential case over the fixed test table
-/// `t(k1 BIGINT, k2 VARCHAR, v1 BIGINT, d1 DATE)`.
+/// `t(k1 BIGINT, k2 VARCHAR, v1 BIGINT, d1 DATE, i1 INT, f1 DOUBLE,
+/// s1 VARCHAR)`.
 #[derive(Debug, Clone)]
 struct SqlCase {
     rows: Vec<Vec<Value>>,
     /// Which columns to group by (0 => `k1`, 1 => `k1, k2`, 2 => `k2`).
     group_choice: usize,
-    /// `WHERE v1 >= t` when set.
-    where_v1: Option<i64>,
-    /// `WHERE d1 <= '<date>'` when set: (literal, epoch days).
-    where_d1: Option<(String, i32)>,
+    /// `WHERE`, when set.
+    filter: Option<Where>,
     /// `HAVING COUNT(*) > h` when set.
     having_count: Option<i64>,
     limit: Option<usize>,
@@ -113,7 +113,7 @@ struct SqlCase {
     radix_bits: u32,
 }
 
-const COLUMNS: [&str; 4] = ["k1", "k2", "v1", "d1"];
+const COLUMNS: [&str; 7] = ["k1", "k2", "v1", "d1", "i1", "f1", "s1"];
 
 fn table_types() -> Vec<LogicalType> {
     vec![
@@ -121,12 +121,120 @@ fn table_types() -> Vec<LogicalType> {
         LogicalType::Varchar,
         LogicalType::Int64,
         LogicalType::Date,
+        LogicalType::Int32,
+        LogicalType::Float64,
+        LogicalType::Varchar,
     ]
 }
 
 /// Known date literals and their epoch-day encodings (all in 1970, matching
 /// the `d1` domain below).
 const DATES: [(&str, i32); 3] = [("1970-01-31", 30), ("1970-03-01", 59), ("1970-06-30", 180)];
+
+/// The six comparison operators, as written in SQL.
+const OPS: [&str; 6] = ["=", "<>", "<", "<=", ">", ">="];
+
+/// Column pairs of one type compared with each other (`CmpCols`),
+/// including a column against itself, which holds exactly on its non-NULL
+/// rows under `=`.
+const COLUMN_PAIRS: [(usize, usize); 6] = [(0, 2), (2, 0), (1, 6), (4, 4), (5, 5), (3, 3)];
+
+/// One `WHERE` comparison.
+#[derive(Debug, Clone)]
+enum Atom {
+    /// `COLUMNS[col] <OPS[op]> lit`; `lit` has the column's type.
+    Lit { col: usize, op: usize, lit: Value },
+    /// `COLUMNS[a] <OPS[op]> COLUMNS[b]`.
+    Cols { a: usize, op: usize, b: usize },
+}
+
+/// A left-deep `WHERE`: `((a0 c1 a1) c2 a2) …`, `cN` OR when `ors[N-1]`.
+#[derive(Debug, Clone)]
+struct Where {
+    atoms: Vec<Atom>,
+    ors: Vec<bool>,
+}
+
+fn op_holds(op: usize, ord: Ordering) -> bool {
+    match OPS[op] {
+        "=" => ord.is_eq(),
+        "<>" => ord.is_ne(),
+        "<" => ord.is_lt(),
+        "<=" => ord.is_le(),
+        ">" => ord.is_gt(),
+        _ => ord.is_ge(),
+    }
+}
+
+/// A comparison of two cells: never satisfied when either is NULL.
+fn cmp_holds(op: usize, a: &Value, b: &Value) -> bool {
+    !matches!(a, Value::Null) && !matches!(b, Value::Null) && op_holds(op, a.total_cmp(b))
+}
+
+fn group_key(v: i64) -> String {
+    format!("group key {v:04}")
+}
+
+impl Atom {
+    /// A literal of column `col`'s type drawn from `raw`.
+    fn literal(col: usize, raw: i64) -> Value {
+        match col {
+            0 => Value::Int64(raw % 40),
+            1 | 6 => Value::Varchar(group_key(raw % 25)),
+            2 => Value::Int64(raw % 1000 - 500),
+            3 => Value::Date(DATES[raw as usize % DATES.len()].1),
+            4 => Value::Int32((raw % 100 - 50) as i32),
+            _ => Value::Float64((raw % 80 - 40) as f64 / 4.0),
+        }
+    }
+
+    fn sql(&self) -> String {
+        match self {
+            Atom::Lit { col, op, lit } => {
+                let lit = match lit {
+                    Value::Varchar(s) => format!("'{s}'"),
+                    Value::Date(d) => {
+                        let (text, _) = DATES.iter().find(|(_, days)| days == d).unwrap();
+                        format!("'{text}'")
+                    }
+                    Value::Float64(f) => format!("{f:?}"),
+                    other => other.to_string(),
+                };
+                format!("{} {} {lit}", COLUMNS[*col], OPS[*op])
+            }
+            Atom::Cols { a, op, b } => format!("{} {} {}", COLUMNS[*a], OPS[*op], COLUMNS[*b]),
+        }
+    }
+
+    fn holds(&self, row: &[Value]) -> bool {
+        match self {
+            Atom::Lit { col, op, lit } => cmp_holds(*op, &row[*col], lit),
+            Atom::Cols { a, op, b } => cmp_holds(*op, &row[*a], &row[*b]),
+        }
+    }
+}
+
+impl Where {
+    fn sql(&self) -> String {
+        let mut sql = self.atoms[0].sql();
+        for (atom, &or) in self.atoms[1..].iter().zip(&self.ors) {
+            sql = format!("({sql}) {} {}", if or { "OR" } else { "AND" }, atom.sql());
+        }
+        sql
+    }
+
+    fn holds(&self, row: &[Value]) -> bool {
+        let mut holds = self.atoms[0].holds(row);
+        for (atom, &or) in self.atoms[1..].iter().zip(&self.ors) {
+            holds = if or {
+                holds || atom.holds(row)
+            } else {
+                holds && atom.holds(row)
+            };
+        }
+        holds
+    }
+}
 
 /// `Option<T>` strategy (the vendored proptest has no `prop::option`):
 /// `None` one time in four, `Some` from `s` otherwise.
@@ -138,39 +246,85 @@ where
     prop_oneof![1 => Just(None), 3 => s.prop_map(Some)].boxed()
 }
 
-fn sql_case_strategy() -> impl Strategy<Value = SqlCase> {
+/// Table rows whose cells are NULL `null_pct` percent of the time.
+fn rows_strategy(null_pct: u32) -> impl Strategy<Value = Vec<Vec<Value>>> {
     let row = (
-        prop_oneof![9 => (0i64..40).prop_map(Value::Int64), 1 => Just(Value::Null)],
-        prop_oneof![
-            9 => (0i64..25).prop_map(|v| Value::Varchar(format!("group key {v:04}"))),
-            1 => Just(Value::Null)
-        ],
-        prop_oneof![9 => (-1000i64..1000).prop_map(Value::Int64), 1 => Just(Value::Null)],
-        prop_oneof![9 => (0i32..200).prop_map(Value::Date), 1 => Just(Value::Null)],
+        (0i64..40, 0i64..25, -1000i64..1000, 0i32..200),
+        (-50i32..50, -40i64..40, 0i64..25),
+        prop::collection::vec(0u32..100, 7),
     )
-        .prop_map(|(a, b, c, d)| vec![a, b, c, d]);
+        .prop_map(move |((k1, k2, v1, d1), (i1, f1, s1), nulls)| {
+            let cells = [
+                Value::Int64(k1),
+                Value::Varchar(group_key(k2)),
+                Value::Int64(v1),
+                Value::Date(d1),
+                Value::Int32(i1),
+                Value::Float64(f1 as f64 / 4.0),
+                Value::Varchar(group_key(s1)),
+            ];
+            cells
+                .into_iter()
+                .zip(nulls)
+                .map(|(v, p)| if p < null_pct { Value::Null } else { v })
+                .collect::<Vec<Value>>()
+        });
+    prop::collection::vec(row, 0..2500)
+}
+
+fn atom_strategy() -> impl Strategy<Value = Atom> {
     (
-        prop::collection::vec(row, 0..2500),
+        0u32..4,
+        0usize..COLUMNS.len(),
+        0usize..COLUMN_PAIRS.len(),
+        0usize..OPS.len(),
+        0i64..1_000_000,
+    )
+        .prop_map(|(kind, col, pair, op, raw)| {
+            if kind == 0 {
+                let (a, b) = COLUMN_PAIRS[pair];
+                Atom::Cols { a, op, b }
+            } else {
+                Atom::Lit {
+                    col,
+                    op,
+                    lit: Atom::literal(col, raw),
+                }
+            }
+        })
+}
+
+fn where_strategy() -> BoxedStrategy<Option<Where>> {
+    opt((
+        prop::collection::vec(atom_strategy(), 1..5),
+        prop::collection::vec(any::<bool>(), 4),
+    )
+        .prop_map(|(atoms, mut ors)| {
+            ors.truncate(atoms.len() - 1);
+            Where { atoms, ors }
+        }))
+}
+
+fn sql_case_strategy() -> impl Strategy<Value = SqlCase> {
+    (
+        // One case in three is NULL-heavy.
+        prop_oneof![2 => Just(10u32), 1 => Just(60u32)].prop_flat_map(rows_strategy),
         0usize..3,
-        opt(-500i64..500),
-        opt(0usize..3),
+        where_strategy(),
         opt(1i64..40),
         opt(1usize..50),
         1usize..4,
         0u32..5,
     )
         .prop_map(
-            |(rows, group_choice, where_v1, where_d1, having_count, limit, threads, radix_bits)| {
-                SqlCase {
-                    rows,
-                    group_choice,
-                    where_v1,
-                    where_d1: where_d1.map(|i| (DATES[i].0.to_string(), DATES[i].1)),
-                    having_count,
-                    limit,
-                    threads,
-                    radix_bits,
-                }
+            |(rows, group_choice, filter, having_count, limit, threads, radix_bits)| SqlCase {
+                rows,
+                group_choice,
+                filter,
+                having_count,
+                limit,
+                threads,
+                radix_bits,
             },
         )
 }
@@ -184,22 +338,20 @@ impl SqlCase {
         }
     }
 
+    fn where_sql(&self) -> String {
+        self.filter
+            .as_ref()
+            .map_or(String::new(), |w| format!(" WHERE {}", w.sql()))
+    }
+
     fn sql(&self) -> String {
         let groups: Vec<&str> = self.group_cols().iter().map(|&c| COLUMNS[c]).collect();
         let group_list = groups.join(", ");
         let mut sql = format!(
-            "SELECT {group_list}, COUNT(*), COUNT(v1), SUM(v1), MIN(v1), MAX(v1), AVG(v1) FROM t"
+            "SELECT {group_list}, COUNT(*), COUNT(v1), SUM(v1), MIN(v1), MAX(v1), AVG(v1), \
+             SUM(i1), MAX(f1) FROM t{}",
+            self.where_sql()
         );
-        let mut wheres = Vec::new();
-        if let Some(t) = self.where_v1 {
-            wheres.push(format!("v1 >= {t}"));
-        }
-        if let Some((lit, _)) = &self.where_d1 {
-            wheres.push(format!("d1 <= '{lit}'"));
-        }
-        if !wheres.is_empty() {
-            sql.push_str(&format!(" WHERE {}", wheres.join(" AND ")));
-        }
         sql.push_str(&format!(" GROUP BY {group_list}"));
         if let Some(h) = self.having_count {
             sql.push_str(&format!(" HAVING COUNT(*) > {h}"));
@@ -215,21 +367,20 @@ impl SqlCase {
     fn filtered_rows(&self) -> Vec<Vec<Value>> {
         self.rows
             .iter()
-            .filter(|r| {
-                let v1_ok = match (self.where_v1, &r[2]) {
-                    (None, _) => true,
-                    (Some(t), Value::Int64(v)) => *v >= t,
-                    (Some(_), _) => false,
-                };
-                let d1_ok = match (&self.where_d1, &r[3]) {
-                    (None, _) => true,
-                    (Some((_, days)), Value::Date(d)) => *d <= *days,
-                    (Some(_), _) => false,
-                };
-                v1_ok && d1_ok
-            })
+            .filter(|r| self.filter.as_ref().is_none_or(|w| w.holds(r)))
             .cloned()
             .collect()
+    }
+
+    fn config(&self) -> AggregateConfig {
+        AggregateConfig {
+            threads: self.threads,
+            radix_bits: Some(self.radix_bits),
+            ht_capacity: 4 * VECTOR_SIZE,
+            output_chunk_size: 777,
+            reset_fill_percent: 66,
+            ..Default::default()
+        }
     }
 }
 
@@ -241,14 +392,7 @@ proptest! {
     /// order; `AVG` partial sums stay far below 2^53 here).
     #[test]
     fn sql_matches_hand_wired_plan(case in sql_case_strategy()) {
-        let config = AggregateConfig {
-            threads: case.threads,
-            radix_bits: Some(case.radix_bits),
-            ht_capacity: 4 * VECTOR_SIZE,
-            output_chunk_size: 777,
-            reset_fill_percent: 66,
-            ..Default::default()
-        };
+        let config = case.config();
         let coll = Arc::new(build_collection(&table_types(), &case.rows));
 
         let mgr = test_manager(64 << 20);
@@ -266,6 +410,8 @@ proptest! {
                 AggregateSpec::min(2),
                 AggregateSpec::max(2),
                 AggregateSpec::avg(2),
+                AggregateSpec::sum(4),
+                AggregateSpec::max(5),
             ],
         };
         let filtered = build_collection(&table_types(), &case.filtered_rows());
@@ -289,6 +435,52 @@ proptest! {
             want.len(),
             case.sql()
         );
+    }
+
+    /// Without aggregation the filter gathers only the projected columns:
+    /// a plain scan with `WHERE`, projection and `ORDER BY`, and
+    /// `COUNT(*)` alone — a filter that passes up no column at all — match
+    /// a row-at-a-time reference.
+    #[test]
+    fn sql_plain_scan_and_count_star_match_reference(case in sql_case_strategy()) {
+        let config = case.config();
+        let coll = Arc::new(build_collection(&table_types(), &case.rows));
+        let mgr = test_manager(64 << 20);
+        let filtered = case.filtered_rows();
+
+        let sql = format!("SELECT f1, k2, v1 FROM t{} ORDER BY v1, k2 DESC, f1", case.where_sql());
+        let got = run_sql(&coll, &COLUMNS, &sql, &config, &mgr);
+        let mut want: Vec<Vec<Value>> = filtered
+            .iter()
+            .map(|r| vec![r[5].clone(), r[1].clone(), r[2].clone()])
+            .collect();
+        want.sort_by(|a, b| {
+            a[2].total_cmp(&b[2])
+                .then(b[1].total_cmp(&a[1]))
+                .then(a[0].total_cmp(&b[0]))
+        });
+        prop_assert!(rows_bits_eq(&got, &want), "plain scan diverges\nsql: {}", sql);
+
+        let sql = format!("SELECT COUNT(*) FROM t{}", case.where_sql());
+        let got = run_sql(&coll, &COLUMNS, &sql, &config, &mgr);
+        prop_assert!(
+            rows_bits_eq(&got, &[vec![Value::Int64(filtered.len() as i64)]]),
+            "COUNT(*) {:?} vs {} rows\nsql: {}",
+            got,
+            filtered.len(),
+            sql
+        );
+
+        // Grouped, with COUNT(*) the only output: per-`k1` counts.
+        let sql = format!("SELECT COUNT(*) FROM t{} GROUP BY k1 ORDER BY 1", case.where_sql());
+        let got = run_sql(&coll, &COLUMNS, &sql, &config, &mgr);
+        let mut counts = std::collections::BTreeMap::<String, i64>::new();
+        for r in &filtered {
+            *counts.entry(r[0].to_string()).or_default() += 1;
+        }
+        let mut want: Vec<Vec<Value>> = counts.into_values().map(|c| vec![Value::Int64(c)]).collect();
+        want.sort_by(|a, b| a[0].total_cmp(&b[0]));
+        prop_assert!(rows_bits_eq(&got, &want), "grouped COUNT(*) diverges\nsql: {}", sql);
     }
 }
 
@@ -536,11 +728,17 @@ fn declared_sorted_table_groups_in_stream_and_matches_reference() {
     assert!(rows_bits_eq(&sorted_rows(&out.into_inner()), &want));
 }
 
-/// JOIN + GROUP BY through SQL vs. hand-wired `hash_join_streaming` feeding
-/// `hash_aggregate_collect`.
-#[test]
-fn join_group_by_matches_hand_wired_plan() {
-    // Fact table: f(k BIGINT, v BIGINT); dimension: d(k BIGINT, w BIGINT).
+/// The JOIN fixture: fact `f(k BIGINT, v BIGINT)`, dimension
+/// `d(k BIGINT, w BIGINT)`, both registered in a catalog, and their join
+/// on `k` built by hand — probe (fact) columns then build (dimension)
+/// columns, the schema SQL's join produces.
+struct JoinFixture {
+    catalog: Catalog,
+    joined: ChunkCollection,
+    config: AggregateConfig,
+}
+
+fn join_fixture() -> JoinFixture {
     let mut rng = StdRng::seed_from_u64(99);
     let fact_rows: Vec<Vec<Value>> = (0..10_000)
         .map(|_| {
@@ -557,16 +755,6 @@ fn join_group_by_matches_hand_wired_plan() {
     let fact = Arc::new(build_collection(&two_ints, &fact_rows));
     let dim = Arc::new(build_collection(&two_ints, &dim_rows));
 
-    let config = AggregateConfig {
-        threads: 2,
-        radix_bits: Some(3),
-        ht_capacity: 4 * VECTOR_SIZE,
-        output_chunk_size: 512,
-        reset_fill_percent: 66,
-        ..Default::default()
-    };
-
-    // SQL side.
     let mut catalog = Catalog::new();
     catalog
         .register_collection("f", vec!["k".into(), "v".into()], Arc::clone(&fact))
@@ -574,41 +762,13 @@ fn join_group_by_matches_hand_wired_plan() {
     catalog
         .register_collection("d", vec!["k".into(), "w".into()], Arc::clone(&dim))
         .unwrap();
-    let plan = rexa_sql::plan(
-        "SELECT d.w, COUNT(*), SUM(f.v) FROM f JOIN d ON f.k = d.k GROUP BY d.w ORDER BY d.w",
-        &catalog,
-    )
-    .unwrap();
-    let mgr = test_manager(64 << 20);
-    let out = Mutex::new(Vec::<DataChunk>::new());
-    rexa_sql::execute_streaming(&mgr, &plan, &config, &ExecContext::new(), &|c| {
-        out.lock().push(c);
-        Ok(())
-    })
-    .unwrap();
-    let got: Vec<Vec<Value>> = out
-        .into_inner()
-        .iter()
-        .flat_map(|c| (0..c.len()).map(move |i| c.row(i)))
-        .collect();
 
-    // Hand-wired side: join (probe = fact, build = dim; output = probe
-    // columns then build columns), then aggregate the joined relation.
-    let joined_types = vec![
-        LogicalType::Int64, // f.k
-        LogicalType::Int64, // f.v
-        LogicalType::Int64, // d.k
-        LogicalType::Int64, // d.w
-    ];
-    let joined = Mutex::new(ChunkCollection::new(joined_types.clone()));
-    let mgr2 = test_manager(64 << 20);
-    let build_src = CollectionSource::new(&dim);
-    let probe_src = CollectionSource::new(&fact);
+    let joined = Mutex::new(ChunkCollection::new(vec![LogicalType::Int64; 4]));
     hash_join_streaming(
-        &mgr2,
-        &build_src,
+        &test_manager(64 << 20),
+        &CollectionSource::new(&dim),
         &two_ints,
-        &probe_src,
+        &CollectionSource::new(&fact),
         &two_ints,
         &HashJoinPlan {
             build_keys: vec![0],
@@ -619,19 +779,223 @@ fn join_group_by_matches_hand_wired_plan() {
         &|c| joined.lock().push(c),
     )
     .unwrap();
-    let joined = joined.into_inner();
-    let agg_plan = HashAggregatePlan {
-        group_cols: vec![3], // d.w
-        aggregates: vec![AggregateSpec::count_star(), AggregateSpec::sum(1)],
-    };
-    let source = CollectionSource::new(&joined);
-    let (out, _) =
-        hash_aggregate_collect(&mgr2, &source, &joined_types, &agg_plan, &config).unwrap();
-    let want = sorted_rows(out.chunks());
+    JoinFixture {
+        catalog,
+        joined: joined.into_inner(),
+        config: AggregateConfig {
+            threads: 2,
+            radix_bits: Some(3),
+            ht_capacity: 4 * VECTOR_SIZE,
+            output_chunk_size: 512,
+            reset_fill_percent: 66,
+            ..Default::default()
+        },
+    }
+}
 
+impl JoinFixture {
+    /// Run `sql` and collect its rows in delivery order.
+    fn run(&self, sql: &str) -> Vec<Vec<Value>> {
+        let plan = rexa_sql::plan(sql, &self.catalog).unwrap();
+        let out = Mutex::new(Vec::<DataChunk>::new());
+        rexa_sql::execute_streaming(
+            &test_manager(64 << 20),
+            &plan,
+            &self.config,
+            &ExecContext::new(),
+            &|c| {
+                out.lock().push(c);
+                Ok(())
+            },
+        )
+        .unwrap();
+        let chunks = out.into_inner();
+        chunks
+            .iter()
+            .flat_map(|c| (0..c.len()).map(move |i| c.row(i)))
+            .collect()
+    }
+
+    /// `COUNT(*), SUM(f.v)` grouped by `d.w` over the joined rows that pass
+    /// `keep`, in key order.
+    fn count_sum_by_w(&self, keep: impl Fn(&[Value]) -> bool) -> Vec<Vec<Value>> {
+        let rows: Vec<Vec<Value>> = self
+            .joined
+            .chunks()
+            .iter()
+            .flat_map(|c| (0..c.len()).map(move |i| c.row(i)))
+            .filter(|r| keep(r))
+            .collect();
+        let input = build_collection(self.joined.types(), &rows);
+        let plan = HashAggregatePlan {
+            group_cols: vec![3], // d.w
+            aggregates: vec![AggregateSpec::count_star(), AggregateSpec::sum(1)],
+        };
+        let (out, _) = hash_aggregate_collect(
+            &test_manager(64 << 20),
+            &CollectionSource::new(&input),
+            input.types(),
+            &plan,
+            &self.config,
+        )
+        .unwrap();
+        sorted_rows(out.chunks())
+    }
+}
+
+/// A WHERE in front of a declared-sorted scan keeps row order, so the plan
+/// still claims sorted input, phase 1 still runs in-stream, and the result
+/// matches the reference over the filtered rows.
+#[test]
+fn declared_sorted_table_with_where_still_groups_in_stream() {
+    let rows: Vec<Vec<Value>> = (0..30_000i64)
+        .map(|i| vec![Value::Int64(i / 3), Value::Int64(i % 97 - 48)])
+        .collect();
+    let two_ints = vec![LogicalType::Int64, LogicalType::Int64];
+    let coll = Arc::new(build_collection(&two_ints, &rows));
+    let mut catalog = Catalog::new();
+    catalog
+        .register_collection("t", vec!["k".into(), "v".into()], Arc::clone(&coll))
+        .unwrap();
+    catalog.declare_sorted("t", &["k"]).unwrap();
+    let plan = rexa_sql::plan(
+        "SELECT k, COUNT(*), SUM(v) FROM t WHERE v >= 0 AND k <> 77 GROUP BY k",
+        &catalog,
+    )
+    .unwrap();
+    assert!(
+        plan.input_sorted,
+        "a WHERE must not hide the declared order"
+    );
+    assert!(
+        plan.explain().contains("input=sorted"),
+        "{}",
+        plan.explain()
+    );
+
+    let config = AggregateConfig {
+        threads: 2,
+        ..Default::default()
+    };
+    let out = Mutex::new(Vec::<DataChunk>::new());
+    let stats = rexa_sql::execute_streaming(
+        &test_manager(64 << 20),
+        &plan,
+        &config,
+        &ExecContext::new(),
+        &|c| {
+            out.lock().push(c);
+            Ok(())
+        },
+    )
+    .unwrap();
+    assert_eq!(stats.run.profile.strategy, "instream");
+    let kept: Vec<Vec<Value>> = rows
+        .into_iter()
+        .filter(
+            |r| matches!((&r[0], &r[1]), (Value::Int64(k), Value::Int64(v)) if *v >= 0 && *k != 77),
+        )
+        .collect();
+    let filtered = build_collection(&two_ints, &kept);
+    let want = reference_aggregate(
+        &CollectionSource::new(&filtered),
+        filtered.types(),
+        &[0],
+        &[AggregateSpec::count_star(), AggregateSpec::sum(1)],
+    )
+    .unwrap();
+    assert!(rows_bits_eq(&sorted_rows(&out.into_inner()), &want));
+}
+
+/// JOIN + GROUP BY through SQL vs. hand-wired `hash_join_streaming` feeding
+/// `hash_aggregate_collect`.
+#[test]
+fn join_group_by_matches_hand_wired_plan() {
+    let fx = join_fixture();
+    let got = fx
+        .run("SELECT d.w, COUNT(*), SUM(f.v) FROM f JOIN d ON f.k = d.k GROUP BY d.w ORDER BY d.w");
+    let want = fx.count_sum_by_w(|_| true);
     assert!(
         rows_bits_eq(&got, &want),
         "JOIN + GROUP BY diverges: {} vs {} rows",
+        got.len(),
+        want.len()
+    );
+}
+
+/// JOIN … WHERE … GROUP BY: the filter runs over the joined schema —
+/// predicates on both sides, one comparing a probe column with a build
+/// column — and passes up only the grouping and argument columns.
+#[test]
+fn join_where_group_by_matches_hand_wired_plan() {
+    let fx = join_fixture();
+    let sql = "SELECT d.w, COUNT(*), SUM(f.v) FROM f JOIN d ON f.k = d.k \
+               WHERE (f.v > 0 OR d.w = 100) AND f.v <> d.k \
+               GROUP BY d.w ORDER BY d.w";
+    let explain = rexa_sql::plan(sql, &fx.catalog).unwrap().explain();
+    assert!(explain.contains("FILTER (where) keep=[v, w]"), "{explain}");
+    let got = fx.run(sql);
+    let int = |v: &Value| match v {
+        Value::Int64(x) => *x,
+        other => panic!("unexpected {other:?}"),
+    };
+    let want = fx.count_sum_by_w(|r| {
+        let (fv, dk, dw) = (int(&r[1]), int(&r[2]), int(&r[3]));
+        (fv > 0 || dw == 100) && fv != dk
+    });
+    assert!(!want.is_empty());
+    assert!(
+        rows_bits_eq(&got, &want),
+        "JOIN + WHERE + GROUP BY diverges: {} vs {} rows",
+        got.len(),
+        want.len()
+    );
+}
+
+/// A plain scan of lineitem with a WHERE over strings, dates compared
+/// column to column, and an OR; projection; ORDER BY with LIMIT.
+#[test]
+fn plain_scan_where_projection_order_by_matches_reference() {
+    let coll = Arc::new(generate_lineitem(0.01, 5));
+    let names: Vec<&str> = LineitemColumn::ALL.iter().map(|c| c.name()).collect();
+    let sql = "SELECT l_shipmode, l_orderkey, l_quantity FROM t \
+               WHERE l_shipmode <> 'AIR' AND (l_quantity < 5 OR l_receiptdate > l_commitdate) \
+               ORDER BY l_orderkey DESC, l_quantity, l_shipmode LIMIT 500";
+    let config = AggregateConfig::default();
+    let got = run_sql(&coll, &names, sql, &config, &test_manager(64 << 20));
+
+    let col = |c: LineitemColumn| c.index();
+    let mut want: Vec<Vec<Value>> = coll
+        .chunks()
+        .iter()
+        .flat_map(|c| (0..c.len()).map(move |i| c.row(i)))
+        .filter(|r| {
+            r[col(LineitemColumn::ShipMode)] != Value::Varchar("AIR".into())
+                && (r[col(LineitemColumn::Quantity)]
+                    .total_cmp(&Value::Int64(5))
+                    .is_lt()
+                    || r[col(LineitemColumn::ReceiptDate)]
+                        .total_cmp(&r[col(LineitemColumn::CommitDate)])
+                        .is_gt())
+        })
+        .map(|r| {
+            vec![
+                r[col(LineitemColumn::ShipMode)].clone(),
+                r[col(LineitemColumn::OrderKey)].clone(),
+                r[col(LineitemColumn::Quantity)].clone(),
+            ]
+        })
+        .collect();
+    want.sort_by(|a, b| {
+        b[1].total_cmp(&a[1])
+            .then(a[2].total_cmp(&b[2]))
+            .then(a[0].total_cmp(&b[0]))
+    });
+    want.truncate(500);
+    assert_eq!(want.len(), 500);
+    assert!(
+        rows_bits_eq(&got, &want),
+        "{} vs {} rows",
         got.len(),
         want.len()
     );
