@@ -526,7 +526,8 @@ fn measure(w: &Workload, threads: usize, reps: usize, setup: &PoolSetup) -> Meas
 }
 
 /// `--trace-out`: one extra traced run of the external workload, so the
-/// exported timeline shows the per-partition handoff under spilling. The
+/// exported timeline shows both phases and the barrier between them under
+/// spilling. The
 /// run needs real spill traffic to be worth looking at, so it uses its own input floor (500k rows — the
 /// group state then exceeds the 16 MiB limit floor) rather than the smoke
 /// row count; small pages keep the probe's pinned write heads (threads x 64

@@ -439,7 +439,7 @@ mod tests {
             rows: Vec<(i64, String)>,
         }
         impl ParallelSink for Collect {
-            fn local(&self) -> Result<Box<dyn LocalSink + '_>> {
+            fn local(&self, _worker: usize) -> Result<Box<dyn LocalSink + '_>> {
                 Ok(Box::new(LocalCollect {
                     parent: self,
                     rows: Vec::new(),

@@ -128,7 +128,7 @@ struct InMemLocal<'a> {
 const RESERVE_STEP: usize = 1 << 20;
 
 impl ParallelSink for InMemSink<'_> {
-    fn local(&self) -> Result<Box<dyn LocalSink + '_>> {
+    fn local(&self, _worker: usize) -> Result<Box<dyn LocalSink + '_>> {
         Ok(Box::new(InMemLocal {
             sink: self,
             map: GroupMap::default(),

@@ -19,6 +19,8 @@
 //! bit 47 marks those (user-space pointers on x86-64/aarch64 stay below
 //! 2^47).
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 use rexa_buffer::BufferManager;
 use rexa_exec::hashing::POINTER_BITS;
 use rexa_exec::{ExecContext, Result};

@@ -6,8 +6,9 @@
 //! materialized into radix-partitioned spillable collections (keys first,
 //! hash column included) with pins released periodically, so the buffer
 //! manager can spill either side when memory runs short — the operator never
-//! writes to storage itself. Phase 2 processes one radix partition at a
-//! time: pin the build partition, insert its rows into a salted pointer
+//! writes to storage itself. Phase 2 runs one task per radix partition,
+//! largest (build + probe bytes) first, as the aggregation does: pin the
+//! build partition, insert its rows into a salted pointer
 //! table (duplicates occupy their own slots; a probe walks its cluster and
 //! collects every match), then stream the probe partition against it,
 //! gathering matched row pairs into output chunks. Pages are destroyed
@@ -16,6 +17,8 @@
 //! Semantics: inner equi-join; rows with a NULL key are dropped on both
 //! sides (SQL inner-join semantics). Output columns are the probe columns
 //! followed by the build columns, in their original input order.
+
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 use crate::ht::{entry_ptr, make_entry, salt_bits, SaltedHashTable};
 use parking_lot::Mutex;
@@ -150,7 +153,7 @@ struct LocalMaterialize<'a> {
 }
 
 impl ParallelSink for MaterializeSink<'_> {
-    fn local(&self) -> Result<Box<dyn LocalSink + '_>> {
+    fn local(&self, _worker: usize) -> Result<Box<dyn LocalSink + '_>> {
         Ok(Box::new(LocalMaterialize {
             sink: self,
             data: PartitionedTupleData::new(self.mgr, &self.side.layout, self.radix_bits),
@@ -269,11 +272,17 @@ pub fn hash_join_streaming(
 
     // Partition-wise probe.
     let t1 = Instant::now();
-    let build_shared = Mutex::new(build_sink.shared.into_inner());
-    let probe_shared = Mutex::new(probe_sink.shared.into_inner());
-    let output_rows = AtomicUsize::new(0);
+    let build_shared = build_sink.shared.into_inner();
+    let probe_shared = probe_sink.shared.into_inner();
     let partitions = 1usize << radix_bits;
-    parallel_for(partitions, config.threads, ctx, &|p| {
+    let order = crate::largest_first((0..partitions).map(|p| {
+        build_shared.partitions()[p].data_bytes() + probe_shared.partitions()[p].data_bytes()
+    }));
+    let build_shared = Mutex::new(build_shared);
+    let probe_shared = Mutex::new(probe_shared);
+    let output_rows = AtomicUsize::new(0);
+    parallel_for(partitions, config.threads, ctx, &|task, _| {
+        let p = order[task];
         let build_part = build_shared.lock().take_partition(p);
         let probe_part = probe_shared.lock().take_partition(p);
         if build_part.rows() == 0 || probe_part.rows() == 0 {
@@ -342,6 +351,7 @@ fn join_partition(
         }
         // SAFETY: all pointers live under the pins held by this function.
         let probe_chunk = unsafe { gather_rows(&probe_side.layout, out_probe) };
+        // SAFETY: as above, under `build_pins`.
         let build_chunk = unsafe { gather_rows(&build_side.layout, out_build) };
         // Restore original column order: probe columns then build columns.
         let mut columns = Vec::with_capacity(probe_side.inv.len() + build_side.inv.len());

@@ -52,3 +52,17 @@ pub(crate) fn default_radix_bits(threads: usize) -> u32 {
         .trailing_zeros()
         .clamp(3, 8)
 }
+
+/// Phase-2 schedule: partition indices by payload bytes, largest first,
+/// ties to the lower index. Radix partitioning over skewed keys produces
+/// wildly uneven partitions; running the giants first keeps them off the
+/// tail of the schedule, where a straggler would run alone while every
+/// other worker idles (longest-processing-time-first). One rule for the
+/// aggregation and the join.
+pub(crate) fn largest_first(bytes: impl IntoIterator<Item = usize>) -> Vec<usize> {
+    let bytes: Vec<usize> = bytes.into_iter().collect();
+    let mut order: Vec<usize> = (0..bytes.len()).collect();
+    // Stable: equal sizes keep ascending index order.
+    order.sort_by_key(|&p| std::cmp::Reverse(bytes[p]));
+    order
+}

@@ -5,21 +5,28 @@
 //! their aggregate states updated in place; new groups are materialized
 //! *directly into radix partitions* using the spillable page layout (the
 //! column-major → row-major conversion happens while partitioning, so tuples
-//! are copied exactly once). When the table is two-thirds full it is
-//! *reset*: only the entry array is cleared — tuples stay where they are —
-//! and the partition pages are unpinned, making them evictable. The
-//! operator never writes to storage itself; if memory runs short the buffer
-//! manager spills individual unpinned pages. Phase 1 is therefore
-//! **RAM-oblivious**: its behaviour does not depend on the memory limit
-//! (only the small entry array must fit).
+//! are copied exactly once). The pages a worker appends to stay pinned until
+//! its table is two-thirds full; then it is *reset*: only the entry array is
+//! cleared — tuples stay where they are — and the partition pages are
+//! unpinned, making them evictable. The operator never writes to storage
+//! itself; if memory runs short the buffer manager spills individual
+//! unpinned pages. Phase 1 does not consult the memory limit, but it is not
+//! free of it: each worker pins its entry array *and its whole epoch* — the
+//! rows of about two-thirds of `ht_capacity` groups, plus their heap pages —
+//! until the reset, so its pinned floor grows with `threads × ht_capacity ×
+//! row width`. Phase 1 runs on [`Pipeline::run`]; each worker's `combine`
+//! moves its unpinned partitions into one shared set.
 //!
-//! Phase 2 — **partition-wise aggregation**: partitions are distributed over
-//! threads. Each task pins one partition (over-partitioning keeps a
-//! partition per thread within memory), triggers any pending pointer
-//! recomputation, builds a resizably-sized salted table *by pointer
-//! insertion over the already-materialized rows* (no copying), combines the
-//! states of duplicate groups in place, and streams the surviving groups to
-//! the consumer — after which the partition's pages are destroyed eagerly.
+//! Phase 2 — **partition-wise aggregation**: once every worker has combined,
+//! [`parallel_for`] runs one task per partition, largest first. Each task
+//! pins one partition (over-partitioning keeps a partition per thread within
+//! memory), triggers any pending pointer recomputation, builds a
+//! resizably-sized salted table *by pointer insertion over the
+//! already-materialized rows* (no copying), combines the states of duplicate
+//! groups in place, and streams the surviving groups to the consumer — after
+//! which the partition's pages are destroyed eagerly.
+
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 use crate::function::{bind_aggregate, AggKind, AggregateSpec, BoundAggregate};
 use crate::ht::{
@@ -27,9 +34,9 @@ use crate::ht::{
     SaltedHashTable,
 };
 use crate::instream::InStreamAgg;
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use rexa_buffer::{BufferManager, BufferStats};
-use rexa_exec::pipeline::{drain_morsels, ChunkSource};
+use rexa_exec::pipeline::{parallel_for, ChunkSource, LocalSink, ParallelSink, Pipeline};
 use rexa_exec::pool::ExecContext;
 use rexa_exec::vector::VectorData;
 use rexa_exec::{hashing, DataChunk, Error, LogicalType, Result, Vector, VECTOR_SIZE};
@@ -274,17 +281,19 @@ struct AggSink<'a> {
     config: &'a AggregateConfig,
     ctx: &'a ExecContext,
     radix_bits: u32,
+    /// Every worker's partitions, moved in by `combine` (page-list moves).
+    shared: Mutex<PartitionedTupleData>,
     rows_in: AtomicUsize,
     resets: AtomicU64,
     /// Set by any worker that took the in-stream path (profile label only).
     instream_used: AtomicBool,
 }
 
-impl AggSink<'_> {
-    /// Create the thread-local state for one worker.
-    fn local(&self) -> Result<LocalAgg<'_>> {
-        Ok(LocalAgg {
+impl ParallelSink for AggSink<'_> {
+    fn local(&self, worker: usize) -> Result<Box<dyn LocalSink + '_>> {
+        Ok(Box::new(LocalAgg {
             sink: self,
+            worker,
             ht: SaltedHashTable::with_capacity_ctx(self.mgr, self.config.ht_capacity, self.ctx)?,
             data: PartitionedTupleData::new(self.mgr, &self.plan.layout, self.radix_bits),
             hashes: Vec::new(),
@@ -296,7 +305,7 @@ impl AggSink<'_> {
             detect_runs: 0,
             rows_in: 0,
             resets: 0,
-        })
+        }))
     }
 }
 
@@ -367,6 +376,8 @@ impl ProbeScratch {
 /// Thread-local phase-1 state.
 struct LocalAgg<'a> {
     sink: &'a AggSink<'a>,
+    /// Profile worker id, for per-worker reset attribution.
+    worker: usize,
     ht: SaltedHashTable,
     data: PartitionedTupleData,
     hashes: Vec<u64>,
@@ -594,7 +605,7 @@ impl LocalAgg<'_> {
     }
 }
 
-impl LocalAgg<'_> {
+impl LocalSink for LocalAgg<'_> {
     /// Consume one chunk: in-stream once this worker switched, else the
     /// thread-local probe.
     fn sink(&mut self, chunk: &DataChunk) -> Result<()> {
@@ -645,6 +656,33 @@ impl LocalAgg<'_> {
         Ok(())
     }
 
+    /// Unpin this worker's last epoch and move its partitions into the
+    /// shared set; the probe table is freed with `self`.
+    fn combine(self: Box<Self>) -> Result<()> {
+        let LocalAgg {
+            sink,
+            worker,
+            mut data,
+            instream,
+            rows_in,
+            resets,
+            ..
+        } = *self;
+        sink.rows_in.fetch_add(rows_in, Ordering::Relaxed);
+        sink.resets.fetch_add(resets, Ordering::Relaxed);
+        if instream.is_some() {
+            sink.instream_used.store(true, Ordering::Relaxed);
+        }
+        if let Some(profile) = sink.ctx.profile() {
+            profile.record_worker_resets(worker, resets);
+        }
+        data.release_pins();
+        sink.shared.lock().combine(data);
+        Ok(())
+    }
+}
+
+impl LocalAgg<'_> {
     /// In-stream (sorted-input) chunk path — see [`crate::instream`].
     fn sink_instream(&mut self, chunk: &DataChunk, group_views: &[&Vector]) -> Result<()> {
         let plan = self.sink.plan;
@@ -802,6 +840,8 @@ fn finalize_partition(
                     let off = layout.aggr_offset(*s);
                     let states: Vec<*const u8> = batch
                         .iter()
+                        // SAFETY: `off` is the state's offset inside each
+                        // row, and the rows are pinned by `pins`.
                         .map(|&row| unsafe { row.add(off) as *const u8 })
                         .collect();
                     // SAFETY: as above; the kernel writes the output vector
@@ -833,6 +873,12 @@ fn finalize_partition(
     Ok(())
 }
 
+/// Entries of the phase-2 table over `rows` rows: two per row, so pointer
+/// insertion stays at most half full.
+fn merge_table_capacity(rows: usize) -> usize {
+    (rows * 2).next_power_of_two().max(1024)
+}
+
 /// Phase-2 hash dedup: rebuild a partition-local probe table over the
 /// pinned rows, combining duplicate groups by key.
 fn finalize_hash_dedup(
@@ -845,8 +891,7 @@ fn finalize_hash_dedup(
     ptrs: &mut Vec<*mut u8>,
 ) -> Result<()> {
     let layout = &plan.layout;
-    let cap = (part.rows() * 2).next_power_of_two().max(1024);
-    let mut ht = SaltedHashTable::with_capacity_ctx(mgr, cap, ctx)?;
+    let mut ht = SaltedHashTable::with_capacity_ctx(mgr, merge_table_capacity(part.rows()), ctx)?;
     // Selection-vector insertion: resolve every row of a chunk to its
     // surviving group row first (claiming new entries along the way), then
     // run one combine kernel per aggregate over the duplicates. Combines
@@ -870,8 +915,8 @@ fn finalize_hash_dedup(
         ptrs.clear();
         part.chunk_row_ptrs(pins, c, ptrs);
         let m = ptrs.len();
-        // SAFETY: the partition is pinned and pointer-recomputed.
         hashes.clear();
+        // SAFETY: the partition is pinned and pointer-recomputed.
         hashes.extend(ptrs.iter().map(|&row| unsafe { layout.read_hash(row) }));
         slots.clear();
         slots.extend(hashes.iter().map(|&h| ht.slot(h)));
@@ -966,115 +1011,6 @@ fn finalize_hash_dedup(
     Ok(())
 }
 
-/// Phase-2 merge schedule: pick the next partition to merge from the ready
-/// list, largest payload first (longest-processing-time-first). Radix
-/// partitioning over skewed keys produces wildly uneven partitions; claiming
-/// the giants first keeps them off the tail of the schedule, where a
-/// straggler would run alone while every other worker idles. Returns the
-/// *position* within `ready` of the largest entry (ties to the lower
-/// partition index, keeping the schedule deterministic).
-fn lpt_claim(ready: &[(usize, usize)]) -> Option<usize> {
-    let mut best: Option<usize> = None;
-    for (k, &(bytes, p)) in ready.iter().enumerate() {
-        best = match best {
-            None => Some(k),
-            Some(b) => {
-                let (bb, bp) = ready[b];
-                if bytes > bb || (bytes == bb && p < bp) {
-                    Some(k)
-                } else {
-                    Some(b)
-                }
-            }
-        };
-    }
-    best
-}
-
-/// Phase-1 → phase-2 handoff: instead of a hard barrier between the phases,
-/// every worker flushes its thread-local fragments partition by partition,
-/// and a partition whose *last* fragment lands becomes mergeable immediately
-/// — feeding the LPT merge schedule while slower workers are
-/// still probing or flushing the rest.
-///
-/// Built to survive the pool's saturation mode: [`ExecContext::run_units`]
-/// may execute worker bodies *sequentially* on one runner, so a merge loop
-/// must never block on fragments unless every worker body has provably
-/// started (`started == threads`). When that does not hold, a worker simply
-/// exits after draining what is already mergeable — the final body observes
-/// `flushers == 0` and drains every remaining partition itself.
-struct PartitionHandoff {
-    /// Merged fragments per partition (flushers append under the lock).
-    slots: Vec<Mutex<TupleDataCollection>>,
-    /// Fragments still outstanding per partition; the flush that takes a
-    /// partition's count to zero publishes it to `ready`.
-    pending: Vec<AtomicUsize>,
-    /// Mergeable partitions as `(payload bytes, partition index)`.
-    ready: Mutex<Vec<(usize, usize)>>,
-    ready_cv: Condvar,
-    /// A worker failed (error or panic): abandon all waiting.
-    failed: AtomicBool,
-    /// Worker bodies that have begun executing (see the type docs).
-    started: AtomicUsize,
-    /// Workers still probing: merge claims hold off until this is zero.
-    probers: AtomicUsize,
-    /// Workers that have not finished flushing. Zero means `ready` is
-    /// complete; the worker that takes it there stamps the phase-1 wall.
-    flushers: AtomicUsize,
-    phase1_nanos: AtomicU64,
-}
-
-impl PartitionHandoff {
-    fn new(
-        mgr: &Arc<BufferManager>,
-        layout: &Arc<TupleDataLayout>,
-        partitions: usize,
-        threads: usize,
-    ) -> Self {
-        PartitionHandoff {
-            slots: (0..partitions)
-                .map(|_| {
-                    Mutex::new(TupleDataCollection::new(
-                        Arc::clone(mgr),
-                        Arc::clone(layout),
-                    ))
-                })
-                .collect(),
-            pending: (0..partitions).map(|_| AtomicUsize::new(threads)).collect(),
-            ready: Mutex::new(Vec::new()),
-            ready_cv: Condvar::new(),
-            failed: AtomicBool::new(false),
-            started: AtomicUsize::new(0),
-            probers: AtomicUsize::new(threads),
-            flushers: AtomicUsize::new(threads),
-            phase1_nanos: AtomicU64::new(0),
-        }
-    }
-
-    /// Mark the run failed and wake every waiter (idempotent).
-    fn fail(&self) {
-        self.failed.store(true, Ordering::Release);
-        let _guard = self.ready.lock();
-        self.ready_cv.notify_all();
-    }
-}
-
-/// Arms [`PartitionHandoff::fail`] until a worker body completes cleanly —
-/// error returns *and* panics unwind through here, so waiting peers always
-/// wake instead of deadlocking on fragments that will never arrive.
-struct FailGuard<'a> {
-    handoff: &'a PartitionHandoff,
-    armed: bool,
-}
-
-impl Drop for FailGuard<'_> {
-    fn drop(&mut self) {
-        if self.armed {
-            self.handoff.fail();
-        }
-    }
-}
-
 /// Run the full aggregation, streaming output chunks to `consumer` (which is
 /// called concurrently from the phase-2 tasks). Both phases are scheduled
 /// through `ctx`: on the context's shared worker pool (when it has one), and
@@ -1116,213 +1052,85 @@ pub fn hash_aggregate_streaming(
     let spans = ctx.spans().cloned();
     let cbuf = spans.as_ref().map(|sc| sc.track("coordinator"));
     let t_run = Instant::now();
+    let partitions = 1usize << radix_bits;
+    collector.add_partitions(partitions as u64);
 
+    // Phase 1: every worker probes morsels into its own table and
+    // partitions, then combines them, unpinned, into the shared set.
     let sink = AggSink {
         plan: &bound,
         mgr,
         config,
         ctx,
         radix_bits,
+        shared: Mutex::new(PartitionedTupleData::new(mgr, &bound.layout, radix_bits)),
         rows_in: AtomicUsize::new(0),
         resets: AtomicU64::new(0),
         instream_used: AtomicBool::new(false),
     };
-    let threads_n = config.threads.max(1);
-    let partitions = 1usize << radix_bits;
-    let groups_out = AtomicUsize::new(0);
     collector.set_phase(Phase::Probe);
-    collector.add_partitions(partitions as u64);
-    let handoff = PartitionHandoff::new(mgr, &bound.layout, partitions, threads_n);
+    let t_lane = cbuf.as_ref().map(|b| b.now_ns());
     let t0 = Instant::now();
-    let t0_ns = cbuf.as_ref().map(|b| b.now_ns());
-    // The unified worker body: probe morsels into thread-local state,
-    // flush fragments through the per-partition handoff,
-    // then merge whatever partitions are (or become) ready. There is no
-    // barrier: the first complete partition is merged while other
-    // workers still probe.
-    let worker = || -> Result<()> {
-        let wid = collector.begin_worker();
-        let sbuf = ctx.worker_track();
-        let mut guard = FailGuard {
-            handoff: &handoff,
-            armed: true,
-        };
-        handoff.started.fetch_add(1, Ordering::AcqRel);
-        let t_worker = Instant::now();
-        let t_probe_ns = sbuf.as_ref().map(|b| b.now_ns());
-        let mut local = sink.local()?;
-        let mut reader = source.reader();
-        let probe_res = drain_morsels(&mut *reader, ctx, sbuf.as_deref(), |chunk| {
-            local.sink(chunk)
-        });
-        let morsels = reader.morsels_claimed();
-        drop(reader);
-        sink.rows_in.fetch_add(local.rows_in, Ordering::Relaxed);
-        sink.resets.fetch_add(local.resets, Ordering::Relaxed);
-        collector.record_worker_resets(wid, local.resets);
-        let chunks = probe_res?;
-        if local.instream.is_some() {
-            sink.instream_used.store(true, Ordering::Relaxed);
-        }
-        local.data.release_pins();
-        if handoff.probers.fetch_sub(1, Ordering::AcqRel) == 1 {
-            // Probe pins are gone everywhere: wake merge waiters.
-            let _g = handoff.ready.lock();
-            handoff.ready_cv.notify_all();
-        }
-        if let (Some(b), Some(t)) = (&sbuf, t_probe_ns) {
-            b.complete(
-                "probe",
-                span_cat::COMPUTE,
-                t,
-                span::arg2("chunks", chunks, "morsels", morsels),
-            );
-        }
-        let t_flush_ns = sbuf.as_ref().map(|b| b.now_ns());
-        // Flush fragments partition by partition, staggered by worker
-        // id so concurrent flushes mostly touch different slot locks.
-        // The flush that completes a partition publishes it.
-        for k in 0..partitions {
-            let p = (k + wid) % partitions;
-            let frag = local.data.take_partition(p);
-            handoff.slots[p].lock().merge_from(frag);
-            if handoff.pending[p].fetch_sub(1, Ordering::AcqRel) == 1 {
-                let bytes = handoff.slots[p].lock().data_bytes();
-                let mut ready = handoff.ready.lock();
-                ready.push((bytes, p));
-                handoff.ready_cv.notify_one();
-                if let Some(b) = &sbuf {
-                    b.instant(
-                        "publish",
-                        span_cat::COMPUTE,
-                        span::arg1("partition", p as u64),
-                    );
-                }
-            }
-        }
-        if let (Some(b), Some(t)) = (&sbuf, t_flush_ns) {
-            b.complete(
-                "flush",
-                span_cat::COMPUTE,
-                t,
-                span::arg1("partitions", partitions as u64),
-            );
-        }
-        drop(local); // frees the probe table before merging starts
-        let probe_busy = t_worker.elapsed();
-        collector.add_busy_to(Phase::Probe, probe_busy);
-        collector.add_units_to(Phase::Probe, chunks);
-        collector.record_worker(wid, probe_busy, morsels, chunks);
-        if handoff.flushers.fetch_sub(1, Ordering::AcqRel) == 1 {
-            // Every fragment is flushed: phase 1 is over. Stamp its
-            // wall.
-            handoff
-                .phase1_nanos
-                .store(t0.elapsed().as_nanos() as u64, Ordering::Release);
-            let _g = handoff.ready.lock();
-            handoff.ready_cv.notify_all();
-        }
-        // Merge loop: claim ready partitions (largest first) until the
-        // run drains — or until waiting would be unsound because not
-        // every worker body has started (saturated pool runs bodies
-        // sequentially; the final body drains the leftovers). Claims
-        // hold off while any worker is still *probing*: probe pages are
-        // pinned, and pinning phase-2 partitions on top of them would
-        // raise the peak pinned footprint past what admission promised.
-        // Flushed fragments are unpinned, so merging overlaps the
-        // remaining flush work freely.
-        let mut merge_busy = Duration::ZERO;
-        loop {
-            let claim = loop {
-                if handoff.failed.load(Ordering::Acquire) {
-                    return Err(Error::Cancelled);
-                }
-                // Loaded *before* the ready lock: observing zero means
-                // every flush (and its ready-publish) happens-before
-                // this lock acquisition, so an empty list is final.
-                let flushers_left = handoff.flushers.load(Ordering::Acquire);
-                let probing = handoff.probers.load(Ordering::Acquire) > 0;
-                let all_started = handoff.started.load(Ordering::Acquire) >= threads_n;
-                let mut ready = handoff.ready.lock();
-                if !probing {
-                    if let Some(k) = lpt_claim(&ready) {
-                        break Some(ready.swap_remove(k));
-                    }
-                }
-                if flushers_left == 0 || !all_started {
-                    break None;
-                }
-                let _timeout = handoff
-                    .ready_cv
-                    .wait_for(&mut ready, Duration::from_millis(5));
-            };
-            let Some((_, p)) = claim else { break };
-            let t_merge = Instant::now();
-            let t_merge_ns = sbuf.as_ref().map(|b| {
-                b.instant(
-                    "claim",
-                    span_cat::COMPUTE,
-                    span::arg1("partition", p as u64),
-                );
-                b.now_ns()
-            });
-            let part = {
-                let mut slot = handoff.slots[p].lock();
-                std::mem::replace(
-                    &mut *slot,
-                    TupleDataCollection::new(Arc::clone(mgr), Arc::clone(&bound.layout)),
-                )
-            };
-            collector.add_units_to(Phase::Merge, 1);
-            finalize_partition(
-                &bound,
-                mgr,
-                config,
-                ctx,
-                p,
-                part,
-                consumer,
-                &groups_out,
-                sbuf.as_deref(),
-            )?;
-            if let (Some(b), Some(t)) = (&sbuf, t_merge_ns) {
-                b.complete(
-                    "merge",
-                    span_cat::COMPUTE,
-                    t,
-                    span::arg1("partition", p as u64),
-                );
-            }
-            merge_busy += t_merge.elapsed();
-        }
-        collector.add_busy_to(Phase::Merge, merge_busy);
-        guard.armed = false;
-        Ok(())
-    };
-    ctx.run_units(threads_n, &worker)?;
-    // Phase walls under overlap: phase 1 ends when the last fragment
-    // flushes; everything after is merge. The old partition step is a
-    // per-partition handoff now — it has no wall of its own.
-    let phase1 = Duration::from_nanos(handoff.phase1_nanos.load(Ordering::Acquire));
-    let phase2 = t0.elapsed().saturating_sub(phase1);
-    collector.set_phase_wall(Phase::Probe, phase1);
-    collector.set_phase_wall(Phase::Partition, Duration::ZERO);
-    collector.set_phase_wall(Phase::Merge, phase2);
-    if let (Some(b), Some(t0n)) = (&cbuf, t0_ns) {
-        // Phase lanes on the coordinator track: the wall-clock extent
-        // of phase 1 (until the last fragment flushed) and phase 2,
-        // for orientation above the per-worker tracks.
-        let p1 = phase1.as_nanos() as u64;
-        let p2 = phase2.as_nanos() as u64;
-        b.complete_between("phase 1", span_cat::COMPUTE, t0n, t0n + p1, span::NO_ARGS);
-        b.complete_between(
-            "phase 2",
-            span_cat::COMPUTE,
-            t0n + p1,
-            t0n + p1 + p2,
-            span::NO_ARGS,
-        );
+    Pipeline::run(source, &sink, config.threads, ctx)?;
+    let phase1 = t0.elapsed();
+    if let (Some(b), Some(t)) = (&cbuf, t_lane) {
+        b.complete("phase 1", span_cat::COMPUTE, t, span::NO_ARGS);
     }
+
+    // Phase 2 starts only after the barrier: no partition is pinned while
+    // a worker's probe epoch still holds its pages, which keeps the peak
+    // at what admission promised (the larger of the two phases, not their
+    // sum). Partitions run largest first.
+    let shared = sink.shared.into_inner();
+    let order = crate::largest_first(shared.partitions().iter().map(|p| p.data_bytes()));
+    // Memory caps how many partitions merge at once: a task pins its
+    // partition and a table of 8-byte entries over it, and running more of
+    // the largest than the limit holds would fail the query where fewer
+    // workers only cost parallelism.
+    let task_bytes = order.first().map_or(0, |&p| {
+        let part = &shared.partitions()[p];
+        part.data_bytes() + 8 * merge_table_capacity(part.rows())
+    });
+    let merge_threads = config
+        .threads
+        .min(mgr.memory_limit() / task_bytes.max(1))
+        .max(1);
+    let shared = Mutex::new(shared);
+    let groups_out = AtomicUsize::new(0);
+    collector.set_phase(Phase::Merge);
+    let t_lane = cbuf.as_ref().map(|b| b.now_ns());
+    let t1 = Instant::now();
+    parallel_for(order.len(), merge_threads, ctx, &|task, sbuf| {
+        let p = order[task];
+        let part = shared.lock().take_partition(p);
+        let t_merge = sbuf.map(|b| b.now_ns());
+        finalize_partition(
+            &bound,
+            mgr,
+            config,
+            ctx,
+            p,
+            part,
+            consumer,
+            &groups_out,
+            sbuf,
+        )?;
+        if let (Some(b), Some(t)) = (sbuf, t_merge) {
+            b.complete(
+                "merge",
+                span_cat::COMPUTE,
+                t,
+                span::arg1("partition", p as u64),
+            );
+        }
+        Ok(())
+    })?;
+    let phase2 = t1.elapsed();
+    if let (Some(b), Some(t)) = (&cbuf, t_lane) {
+        b.complete("phase 2", span_cat::COMPUTE, t, span::NO_ARGS);
+    }
+    collector.set_phase_wall(Phase::Probe, phase1);
+    collector.set_phase_wall(Phase::Merge, phase2);
     collector.set_strategy(if sink.instream_used.load(Ordering::Relaxed) {
         "instream"
     } else {
@@ -1490,19 +1298,26 @@ mod tests {
         }
     }
 
+    /// A small, often-reset table and 32 partitions: with 4 KiB pages and
+    /// half the input's size as the limit, the spilling tests' geometry.
+    fn spilling_config(threads: usize) -> AggregateConfig {
+        AggregateConfig {
+            threads,
+            radix_bits: Some(5),
+            ht_capacity: 4 * VECTOR_SIZE,
+            output_chunk_size: VECTOR_SIZE,
+            reset_fill_percent: 66,
+            ..Default::default()
+        }
+    }
+
     #[test]
     fn lpt_order_sorts_skewed_partitions_largest_first() {
         // Zipf-ish partition payloads: one giant, a few mid-size, a long
         // tail of near-empty partitions (what radix partitioning produces
         // over skewed keys).
         let sizes = [4096, 0, 786_432, 64, 8_388_608, 4096, 0, 131_072];
-        // Drain the ready list the way the merge loop does: claim, remove
-        // with `swap_remove` (which reorders the list), repeat.
-        let mut ready: Vec<(usize, usize)> = sizes.iter().copied().zip(0..).collect();
-        let mut order = Vec::new();
-        while let Some(k) = lpt_claim(&ready) {
-            order.push(ready.swap_remove(k).1);
-        }
+        let order = crate::largest_first(sizes);
         assert_eq!(order, vec![4, 2, 7, 0, 5, 3, 1, 6]);
         // The schedule is a permutation, monotonically non-increasing in
         // size, with ties broken on the lower index (0 before 5, 1 before 6).
@@ -1512,8 +1327,8 @@ mod tests {
                 assert!(w[0] < w[1]);
             }
         }
-        assert_eq!(lpt_claim(&[]), None);
-        assert_eq!(lpt_claim(&[(7, 0)]), Some(0));
+        assert_eq!(crate::largest_first([]), Vec::<usize>::new());
+        assert_eq!(crate::largest_first([7]), vec![0]);
     }
 
     #[test]
@@ -1571,14 +1386,7 @@ mod tests {
             group_cols: vec![0],
             aggregates: vec![AggregateSpec::count_star(), AggregateSpec::sum(1)],
         };
-        let config = AggregateConfig {
-            threads: 4,
-            radix_bits: Some(5),
-            ht_capacity: 4 * VECTOR_SIZE,
-            output_chunk_size: VECTOR_SIZE,
-            reset_fill_percent: 66,
-            ..Default::default()
-        };
+        let config = spilling_config(4);
         let source = CollectionSource::new(&coll);
         let err = hash_aggregate_collect(&mgr, &source, coll.types(), &plan, &config)
             .expect_err("a spilling run cannot succeed with all spill writes failing");
@@ -1718,14 +1526,8 @@ mod tests {
                 AggregateSpec::any_value(2),
             ],
         };
-        let config = AggregateConfig {
-            threads: 4,
-            radix_bits: Some(5), // over-partitioning keeps phase 2 in memory
-            ht_capacity: 4 * VECTOR_SIZE,
-            output_chunk_size: VECTOR_SIZE,
-            reset_fill_percent: 66,
-            ..Default::default()
-        };
+        // Over-partitioning (32 partitions) keeps phase 2 in memory.
+        let config = spilling_config(4);
         let stats = check_against_reference(&coll, &plan, &config, &mgr);
         assert!(
             stats.buffer.evictions_temporary > 0,
@@ -2095,14 +1897,7 @@ mod tests {
             group_cols: vec![0, 2],
             aggregates: vec![AggregateSpec::count_star(), AggregateSpec::sum(1)],
         };
-        let config = AggregateConfig {
-            threads: 4,
-            radix_bits: Some(5),
-            ht_capacity: 4 * VECTOR_SIZE,
-            output_chunk_size: VECTOR_SIZE,
-            reset_fill_percent: 66,
-            ..Default::default()
-        };
+        let config = spilling_config(4);
         let source = CollectionSource::new(&coll);
         let (out, stats) =
             hash_aggregate_collect(&mgr, &source, coll.types(), &plan, &config).unwrap();
@@ -2161,6 +1956,87 @@ mod tests {
         assert!(
             report.contains(&format!("({} external)", p.partitions_external)),
             "{report}"
+        );
+    }
+
+    #[test]
+    fn per_worker_attribution_is_dense_and_adds_up() {
+        // Each phase-1 worker's record carries the id the pipeline gave it,
+        // and the sink credits its resets to that same id: ids are 0..n, the
+        // chunks add up to the input's and the resets to the run's.
+        let coll = make_input(60_000, 60_000, 5);
+        for threads in [2, 4] {
+            let spilling = mgr_with(coll.approx_bytes() / 2, 4 << 10);
+            let in_memory = mgr_with(64 << 20, 64 << 10);
+            for (mgr, config) in [
+                (&spilling, spilling_config(threads)),
+                (&in_memory, small_config(threads)),
+            ] {
+                let plan = HashAggregatePlan {
+                    group_cols: vec![0],
+                    aggregates: vec![AggregateSpec::count_star(), AggregateSpec::sum(1)],
+                };
+                let stats = check_against_reference(&coll, &plan, &config, mgr);
+                let workers = &stats.profile.workers;
+                let ids: Vec<usize> = workers.iter().map(|w| w.worker).collect();
+                assert_eq!(ids, (0..threads).collect::<Vec<_>>(), "{workers:?}");
+                let chunks: u64 = workers.iter().map(|w| w.chunks).sum();
+                assert_eq!(chunks, coll.chunk_count() as u64, "{workers:?}");
+                let resets: u64 = workers.iter().map(|w| w.ht_resets).sum();
+                assert_eq!(resets, stats.resets, "{workers:?}");
+                assert!(stats.resets > 0, "the small table must reset");
+            }
+            assert!(
+                spilling.stats().temp_bytes_written > 0,
+                "the run must spill"
+            );
+        }
+    }
+
+    #[test]
+    fn phase2_spans_start_after_every_phase1_span_ends() {
+        // No partition is pinned for phase 2 while a worker's probe epoch
+        // still holds its pages: on a traced, spilling run at four threads
+        // the first phase-2 span starts after the last phase-1 span ends.
+        let coll = make_input(60_000, 60_000, 5);
+        let mgr = mgr_with(coll.approx_bytes() / 2, 4 << 10);
+        let plan = HashAggregatePlan {
+            group_cols: vec![0],
+            aggregates: vec![AggregateSpec::count_star(), AggregateSpec::sum(1)],
+        };
+        let ctx = ExecContext::new().with_spans(rexa_obs::SpanCollector::new());
+        let source = CollectionSource::new(&coll);
+        let stats = hash_aggregate_streaming(
+            &mgr,
+            &source,
+            coll.types(),
+            &plan,
+            &spilling_config(4),
+            &ctx,
+            &|_| Ok(()),
+        )
+        .unwrap();
+        assert!(stats.buffer.temp_bytes_written > 0, "the run must spill");
+        let spans = &stats.profile.timeline.spans;
+        let end = |names: &[&str]| {
+            spans
+                .iter()
+                .filter(|s| names.contains(&s.name))
+                .map(|s| s.start_ns + s.dur_ns)
+                .max()
+        };
+        let start = |names: &[&str]| {
+            spans
+                .iter()
+                .filter(|s| names.contains(&s.name))
+                .map(|s| s.start_ns)
+                .min()
+        };
+        let phase1_end = end(&["pipeline", "morsel", "combine"]).expect("phase-1 spans");
+        let phase2_start = start(&["task", "merge", "finalize"]).expect("phase-2 spans");
+        assert!(
+            phase1_end <= phase2_start,
+            "phase 2 started at {phase2_start} ns, before phase 1 ended at {phase1_end} ns"
         );
     }
 
@@ -2295,7 +2171,7 @@ mod tests {
     #[test]
     fn low_cardinality_under_spilling_config_stays_correct() {
         // Few groups under a tight limit with tiny pages: spills and the
-        // per-partition handoff must stay correct.
+        // combine of many small fragments per partition must stay correct.
         let coll = make_input(80_000, 512, 21);
         let mgr = mgr_with(1 << 20, 4 << 10);
         let plan = HashAggregatePlan {

@@ -58,7 +58,7 @@ struct LocalUngrouped<'a> {
 unsafe impl Send for LocalUngrouped<'_> {}
 
 impl ParallelSink for UngroupedSink<'_> {
-    fn local(&self) -> Result<Box<dyn LocalSink + '_>> {
+    fn local(&self, _worker: usize) -> Result<Box<dyn LocalSink + '_>> {
         Ok(Box::new(LocalUngrouped {
             sink: self,
             state: ThreadState::new(self.bound),

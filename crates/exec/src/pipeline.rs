@@ -55,8 +55,11 @@ pub trait ChunkReader: Send {
 
 /// The shared side of a pipeline-breaking operator.
 pub trait ParallelSink: Send + Sync {
-    /// Create the thread-local state for one worker.
-    fn local(&self) -> Result<Box<dyn LocalSink + '_>>;
+    /// Create the thread-local state for one worker. `worker` is the
+    /// worker's dense id in the context's profile collector (0 without
+    /// one), so a sink can credit its own counters to the same per-worker
+    /// record [`Pipeline::run`] fills.
+    fn local(&self, worker: usize) -> Result<Box<dyn LocalSink + '_>>;
 }
 
 /// The per-thread side of a pipeline-breaking operator.
@@ -258,10 +261,11 @@ impl Pipeline {
             // tracing adds one timestamp per chunk and one record per
             // morsel — and only when a collector is attached.
             let started = std::time::Instant::now();
+            let worker = ctx.profile().map_or(0, |p| p.begin_worker());
             let sbuf = ctx.worker_track();
             let t_worker = sbuf.as_ref().map(|b| b.now_ns());
             let mut reader = source.reader();
-            let result = sink.local().and_then(|mut local| {
+            let result = sink.local(worker).and_then(|mut local| {
                 let chunks = drain_morsels(&mut *reader, ctx, sbuf.as_deref(), |c| local.sink(c))?;
                 let t_combine = sbuf.as_ref().map(|b| b.now_ns());
                 local.combine()?;
@@ -283,7 +287,7 @@ impl Pipeline {
             if let Some(p) = ctx.profile() {
                 p.add_busy(started.elapsed());
                 p.add_units(chunks);
-                p.record_worker(p.begin_worker(), started.elapsed(), morsels, chunks);
+                p.record_worker(worker, started.elapsed(), morsels, chunks);
             }
             result.map(drop)
         };
@@ -292,14 +296,17 @@ impl Pipeline {
 }
 
 /// Run `tasks` independent tasks on `threads` workers scheduled through
-/// `ctx`, pulling task ids from a shared atomic counter (the second-phase
-/// scheduling pattern: tasks are radix partitions). The context's
-/// cancellation token is checked before each task. Returns the first error.
+/// `ctx`, pulling task ids from a shared atomic counter in ascending order
+/// (the second-phase scheduling pattern: tasks are radix partitions, and
+/// the caller maps ids to partitions in the order it wants them run). Each
+/// call of `f` gets the task id and the worker's span lane, when the
+/// context traces. The context's cancellation token is checked before each
+/// task. Returns the first error.
 pub fn parallel_for(
     tasks: usize,
     threads: usize,
     ctx: &ExecContext,
-    f: &(dyn Fn(usize) -> Result<()> + Sync),
+    f: &(dyn Fn(usize, Option<&SpanBuffer>) -> Result<()> + Sync),
 ) -> Result<()> {
     let threads = threads.max(1).min(tasks.max(1));
     let next = AtomicUsize::new(0);
@@ -311,7 +318,7 @@ pub fn parallel_for(
             while let Some(task) = claim(&next, tasks) {
                 ctx.check_cancelled()?;
                 let t_task = sbuf.as_ref().map(|b| b.now_ns());
-                f(task)?;
+                f(task, sbuf.as_deref())?;
                 executed += 1;
                 if let (Some(b), Some(t)) = (&sbuf, t_task) {
                     b.complete(
@@ -397,7 +404,7 @@ mod tests {
     }
 
     impl ParallelSink for SumSink {
-        fn local(&self) -> Result<Box<dyn LocalSink + '_>> {
+        fn local(&self, _worker: usize) -> Result<Box<dyn LocalSink + '_>> {
             Ok(Box::new(LocalSum {
                 parent: self,
                 sum: 0,
@@ -449,7 +456,7 @@ mod tests {
             seen: &'a Mutex<Vec<u32>>,
         }
         impl ParallelSink for Recorder<'_> {
-            fn local(&self) -> Result<Box<dyn LocalSink + '_>> {
+            fn local(&self, _worker: usize) -> Result<Box<dyn LocalSink + '_>> {
                 Ok(Box::new(LocalRec { seen: self.seen }))
             }
         }
@@ -476,7 +483,7 @@ mod tests {
         struct FailSink;
         struct FailLocal;
         impl ParallelSink for FailSink {
-            fn local(&self) -> Result<Box<dyn LocalSink + '_>> {
+            fn local(&self, _worker: usize) -> Result<Box<dyn LocalSink + '_>> {
                 Ok(Box::new(FailLocal))
             }
         }
@@ -511,7 +518,7 @@ mod tests {
     #[test]
     fn parallel_for_covers_all_tasks() {
         let done: Vec<AtomicUsize> = (0..97).map(|_| AtomicUsize::new(0)).collect();
-        parallel_for(97, 8, &ExecContext::new(), &|t| {
+        parallel_for(97, 8, &ExecContext::new(), &|t, _| {
             done[t].fetch_add(1, Ordering::Relaxed);
             Ok(())
         })
@@ -521,7 +528,10 @@ mod tests {
 
     #[test]
     fn parallel_for_zero_tasks() {
-        parallel_for(0, 4, &ExecContext::new(), &|_| panic!("no tasks expected")).unwrap();
+        parallel_for(0, 4, &ExecContext::new(), &|_, _| {
+            panic!("no tasks expected")
+        })
+        .unwrap();
     }
 
     #[test]
@@ -529,7 +539,7 @@ mod tests {
         // Two tasks, two workers: each worker claims exactly one task (a
         // worker stops after its first failure), so one observes Cancelled
         // and the other the real error; the real error must win.
-        let err = parallel_for(2, 2, &ExecContext::new(), &|t| {
+        let err = parallel_for(2, 2, &ExecContext::new(), &|t, _| {
             if t == 0 {
                 Err(Error::Cancelled)
             } else {
@@ -557,7 +567,7 @@ mod tests {
         assert_eq!(sink.combines.load(Ordering::Relaxed), 4);
 
         let done: Vec<AtomicUsize> = (0..31).map(|_| AtomicUsize::new(0)).collect();
-        parallel_for(31, 4, &ctx, &|t| {
+        parallel_for(31, 4, &ctx, &|t, _| {
             done[t].fetch_add(1, Ordering::Relaxed);
             Ok(())
         })
@@ -581,7 +591,7 @@ mod tests {
         Pipeline::run(&source, &sink, 4, &ctx).unwrap();
 
         profile.set_phase(Phase::Merge);
-        parallel_for(31, 4, &ctx, &|_| Ok(())).unwrap();
+        parallel_for(31, 4, &ctx, &|_, _| Ok(())).unwrap();
 
         let p = profile.finish("x", std::time::Duration::ZERO);
         // Every chunk is credited to the probe phase, every task to merge.
@@ -623,7 +633,7 @@ mod tests {
         // A panicking task at threads > 1 must not strand the other claim
         // loops at the completion barrier: the panic is caught, converted
         // to Error::Internal, and the call returns.
-        let err = parallel_for(8, 4, &ExecContext::new(), &|t| {
+        let err = parallel_for(8, 4, &ExecContext::new(), &|t, _| {
             if t == 3 {
                 panic!("injected worker panic");
             }
@@ -637,7 +647,7 @@ mod tests {
         use crate::pool::WorkerPool;
         let pool = Arc::new(WorkerPool::new(4));
         let ctx = ExecContext::with_pool(Arc::clone(&pool));
-        let err = parallel_for(8, 4, &ctx, &|t| {
+        let err = parallel_for(8, 4, &ctx, &|t, _| {
             if t == 0 {
                 panic!("injected worker panic");
             }
@@ -646,7 +656,7 @@ mod tests {
         .unwrap_err();
         assert!(matches!(err, Error::Internal(_)), "got {err}");
         let done: Vec<AtomicUsize> = (0..8).map(|_| AtomicUsize::new(0)).collect();
-        parallel_for(8, 4, &ctx, &|t| {
+        parallel_for(8, 4, &ctx, &|t, _| {
             done[t].fetch_add(1, Ordering::Relaxed);
             Ok(())
         })
@@ -658,7 +668,7 @@ mod tests {
     fn cancelled_context_stops_parallel_for() {
         let ctx = ExecContext::new();
         ctx.cancel_token().cancel();
-        let err = parallel_for(8, 4, &ctx, &|_| Ok(())).unwrap_err();
+        let err = parallel_for(8, 4, &ctx, &|_, _| Ok(())).unwrap_err();
         assert!(matches!(err, Error::Cancelled));
     }
 

@@ -340,8 +340,10 @@ impl ExecContext {
     }
 
     /// Attach a per-query span collector (builder style). Workers record
-    /// timeline spans (probe, flush, per-partition merge) into lock-free per-worker buffers; the operator merges them into
-    /// `QueryProfile::timeline` at query end. When absent — the default —
+    /// timeline spans (pipeline with its morsels and combine, partition
+    /// tasks, per-partition merge) into lock-free per-worker buffers; the
+    /// operator merges them into `QueryProfile::timeline` at query end.
+    /// When absent — the default —
     /// every instrumentation site is a skipped `Option` check and no
     /// timestamps are taken.
     pub fn with_spans(mut self, spans: Arc<SpanCollector>) -> Self {

@@ -19,7 +19,7 @@
 //!   a causal event log.
 //! * [`span`] — a per-query timeline: lock-free per-worker [`SpanBuffer`]s
 //!   collected by a [`SpanCollector`] and exported as Chrome trace-event
-//!   JSON for Perfetto, so the phase-1/phase-2 handoff and straggler
+//!   JSON for Perfetto, so the phase-1/phase-2 barrier and straggler
 //!   workers are visible on a real timeline instead of inferred from
 //!   counters.
 //!

@@ -304,8 +304,7 @@ impl ProfileCollector {
     }
 
     /// Worker: merge phase-1 attribution into the record for `worker`.
-    /// Called at most a few times per worker (end of probe, end of flush),
-    /// never per morsel.
+    /// Called once per pipeline worker, never per morsel.
     pub fn record_worker(&self, worker: usize, busy: Duration, morsels: u64, chunks: u64) {
         let mut ws = self.workers.lock();
         let w = Self::worker_slot(&mut ws, worker);
@@ -365,13 +364,6 @@ impl ProfileCollector {
     pub fn add_units(&self, n: u64) {
         self.phase_units[self.current_phase.load(Ordering::Relaxed) as usize]
             .fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Worker: count work units in an explicit phase — used when phases
-    /// overlap across workers and the coordinator-set current phase would
-    /// misattribute.
-    pub fn add_units_to(&self, phase: Phase, n: u64) {
-        self.phase_units[phase.index()].fetch_add(n, Ordering::Relaxed);
     }
 
     /// Coordinator: record a phase's end-to-end wall time.

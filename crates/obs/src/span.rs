@@ -3,8 +3,8 @@
 //! Perfetto / `about://tracing`.
 //!
 //! The profile counters ([`crate::profile`]) say *how much* time each phase
-//! took; spans say *when* — which is the only way to see whether the
-//! per-partition handoff fed the merge before the last flusher finished,
+//! took; spans say *when* — which is the only way to see which worker held
+//! up the barrier between the phases, which partition ran last in phase 2,
 //! and where a straggler worker sat idle. The design constraints:
 //!
 //! * **Zero cost when detached.** Every instrumentation site is guarded by

@@ -211,7 +211,7 @@ pub struct QueryOptions {
     /// Trace this query's timeline into the given collector: the service
     /// records admission spans (queue wait, memory reservation) and SQL
     /// front-end spans, and the operator records per-worker
-    /// probe/flush/merge spans. Export the merged timeline from
+    /// pipeline/task/merge spans. Export the merged timeline from
     /// `QueryOutput::stats.profile.chrome_trace_json()`. `None` (the
     /// default) disables tracing at zero cost.
     pub spans: Option<Arc<SpanCollector>>,

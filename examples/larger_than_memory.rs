@@ -11,9 +11,8 @@
 //!
 //! With `--trace-out PATH` the run records a span timeline and writes it as
 //! Chrome trace-event JSON — open it in Perfetto (<https://ui.perfetto.dev>)
-//! or `about://tracing` to see the per-worker probe, flush and merge spans
-//! and how the per-partition handoff starts merging before the last worker
-//! has flushed.
+//! or `about://tracing` to see each worker's phase-1 pipeline (morsels and
+//! combine), then its phase-2 partition tasks, largest partition first.
 
 use rexa_buffer::{BufferManager, BufferManagerConfig};
 use rexa_core::baselines::in_memory_aggregate;

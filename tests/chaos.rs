@@ -491,8 +491,9 @@ fn torn_spill_writes_never_corrupt_results() {
 }
 
 /// The disk fills up mid-phase-1 at four threads (every spill write from the
-/// `nth` one onward hits ENOSPC): the triggering query fails with `Error::SpillFailed` (never a panic, a hang in the
-/// per-partition handoff, or a masking `Cancelled`), the buffer manager's
+/// `nth` one onward hits ENOSPC): the triggering query fails with
+/// `Error::SpillFailed` (never a panic, a hang at the barrier between the
+/// phases, or a masking `Cancelled`), the buffer manager's
 /// accounting returns to its pre-query baseline, and the very same manager
 /// then serves a fault-free run of the same spilling workload — the fault
 /// aborted only the query that hit it.
@@ -544,9 +545,9 @@ fn mid_phase1_enospc_at_four_threads_aborts_only_that_query() {
             }
             other => panic!("nth={nth}: expected SpillFailed, got {other}"),
         }
-        // One worker hit the fault; the other three unwound through the
-        // handoff (fail flag + notified ready queue) and everything was
-        // rolled back.
+        // One worker hit the fault; the other three finished phase 1, the
+        // barrier returned the first real error without starting phase 2,
+        // and everything was rolled back.
         let s = mgr.stats();
         assert_eq!(s.temporary_resident, 0, "nth={nth}: leaked pages {s:?}");
         assert_eq!(s.non_paged, 0, "nth={nth}: leaked reservation {s:?}");
@@ -571,11 +572,11 @@ fn mid_phase1_enospc_at_four_threads_aborts_only_that_query() {
 }
 
 /// Slow and flaky spill I/O at four threads: latency on a third of the
-/// writes plus retried transient failures lean on the per-partition
-/// handoff's wait loop (workers finishing phase 1 at very different times).
-/// The query must terminate inside the watchdog window — a hung condvar is
-/// a test failure here, not a CI timeout — and, when it succeeds, match the
-/// oracle's group count with nothing leaked.
+/// writes plus retried transient failures make workers reach the barrier
+/// between the phases at very different times. The query must terminate
+/// inside the watchdog window — a hung barrier is a test failure here, not
+/// a CI timeout — and, when it succeeds, match the oracle's group count
+/// with nothing leaked.
 #[test]
 fn phase_handoff_terminates_under_latency_and_transient_faults() {
     let (tx, rx) = std::sync::mpsc::channel();
@@ -630,7 +631,7 @@ fn phase_handoff_terminates_under_latency_and_transient_faults() {
     });
     let (res, leftover) = rx
         .recv_timeout(Duration::from_secs(120))
-        .unwrap_or_else(|_| panic!("phase-handoff path hung"));
+        .unwrap_or_else(|_| panic!("phase barrier hung"));
     match res {
         Ok((rows_out, groups)) => {
             assert_eq!(groups, 30_000);

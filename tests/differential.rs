@@ -649,8 +649,8 @@ fn operator_is_deterministic_under_odd_geometry() {
 /// Same input + same thread count, run twice, must produce identical
 /// finalized results (integer aggregates: exact, so scheduling-dependent
 /// merge orders cannot hide behind float tolerance) and identical group
-/// counts — at every thread count, with the per-partition handoff deciding
-/// merge order dynamically.
+/// counts — at every thread count, with the order in which workers combine
+/// their fragments into each partition left to the scheduler.
 #[test]
 fn same_seed_same_threads_is_deterministic_at_every_thread_count() {
     let case = Case {

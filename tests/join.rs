@@ -321,6 +321,54 @@ fn join_spills_under_tight_memory_and_stays_exact() {
     assert_eq!(m.stats().temporary_resident, 0);
 }
 
+/// Phase 2 runs the partition with the most build + probe bytes first, as
+/// the aggregation does. At one thread the tasks run in schedule order, so
+/// the consumer's first chunk comes from the hot key's partition — which is
+/// deliberately not partition 0, the one index order would start with.
+#[test]
+fn join_runs_the_largest_partition_first() {
+    const BITS: u32 = 3;
+    let partition_of = |k: i64| {
+        let keys = Vector::from_i64(vec![k]);
+        rexa_exec::hashing::radix(rexa_exec::hashing::hash_columns(&[&keys], 1)[0], BITS)
+    };
+    let hot = (1_000..).find(|&k| partition_of(k) != 0).unwrap();
+    // 256 cold keys, one build row each, spread over every partition; the
+    // hot key has 4,000 build rows.
+    let mut build_rows: Vec<(i64, i64)> = (0..256).map(|k| (k, k)).collect();
+    build_rows.extend((0..4_000).map(|i| (hot, i)));
+    let mut probe_rows: Vec<(i64, i64)> = (0..256).map(|k| (k, -k)).collect();
+    probe_rows.push((hot, -1));
+    assert!((0..256).any(|k| partition_of(k) == 0), "partition 0 joins");
+    let build = i64_table(&build_rows);
+    let probe = i64_table(&probe_rows);
+    let first = Mutex::new(None::<DataChunk>);
+    hash_join_streaming(
+        &mgr(64 << 20, 16 << 10),
+        &CollectionSource::new(&build),
+        build.types(),
+        &CollectionSource::new(&probe),
+        probe.types(),
+        &HashJoinPlan {
+            build_keys: vec![0],
+            probe_keys: vec![0],
+        },
+        &config(1, BITS),
+        &ExecContext::new(),
+        &|chunk| {
+            first.lock().get_or_insert(chunk);
+            Ok(())
+        },
+    )
+    .unwrap();
+    let first = first.into_inner().expect("the join produced output");
+    assert!(
+        (0..first.len()).any(|i| first.row(i)[0] == Value::Int64(hot)),
+        "the first chunk must come from the hot key's partition {}",
+        partition_of(hot)
+    );
+}
+
 #[test]
 fn key_type_mismatch_is_rejected() {
     let build = i64_table(&[(1, 1)]);

@@ -843,7 +843,7 @@ fn traced_query_through_service_captures_io_spans() {
     assert!(has("coordinator"), "tracks: {:?}", timeline.tracks);
     assert!(has("worker"), "tracks: {:?}", timeline.tracks);
     let names: Vec<&str> = timeline.spans.iter().map(|s| s.name).collect();
-    for needle in ["queue_wait", "probe", "merge", "finalize", "phase 1"] {
+    for needle in ["queue_wait", "pipeline", "merge", "finalize", "phase 1"] {
         assert!(names.contains(&needle), "missing span {needle:?}");
     }
     // The export must be loadable Chrome trace JSON with named tracks.
